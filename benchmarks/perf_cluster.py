@@ -524,7 +524,7 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="tiny sweep + 2 workers (the CI cluster smoke)")
     parser.add_argument("--kill-resume", action="store_true",
-                        help="also SIGKILL a journaled sweep at ~50% and "
+                        help="also SIGKILL a journaled sweep at ~50%% and "
                              "verify --resume (the crash-recovery smoke)")
     parser.add_argument("--compact-resume", action="store_true",
                         help="also SIGKILL a --compact-every sweep, compact "

@@ -74,12 +74,13 @@ class DramController:
         )
         self.energy_model = energy_model or DramEnergyModel(spec, self.voltage_model)
 
-    def _coordinates(self, trace: TraceLike) -> Iterable[DramCoordinate]:
-        for item in trace:
-            if isinstance(item, DramCoordinate):
-                yield item
-            else:
-                yield self.organization.coordinate_of(int(item))
+    def _slots(self, trace: TraceLike) -> np.ndarray:
+        if isinstance(trace, np.ndarray):
+            return trace
+        to_slot = self.organization.slot_of
+        return np.asarray(
+            [to_slot(c) if isinstance(c, DramCoordinate) else c for c in trace], dtype=np.int64
+        )
 
     def execute(
         self,
@@ -98,7 +99,7 @@ class DramController:
         """
         timing = timing_for_voltage(self.spec, v_supply, self.voltage_model)
         simulator = RowBufferSimulator(self.organization, timing)
-        stats = simulator.run(self._coordinates(trace), write=write)
+        stats = simulator.run(self._slots(trace), write=write)
         energy = self.energy_model.trace_energy(stats, v_supply)
         if include_refresh:
             from repro.dram.refresh import RefreshModel
@@ -117,7 +118,5 @@ class DramController:
         self, trace: TraceLike, v_supplies: Sequence[float]
     ) -> list[TraceExecutionResult]:
         """Run the same trace at several supply voltages (Fig. 12a sweep)."""
-        materialised = [
-            c for c in self._coordinates(trace)
-        ]  # traces may be generators; reuse across voltages
-        return [self.execute(materialised, v) for v in v_supplies]
+        slots = self._slots(trace)  # traces may be generators; reuse across voltages
+        return [self.execute(slots, v) for v in v_supplies]

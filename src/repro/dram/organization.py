@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
+import numpy as np
+
 from repro.dram.specs import DramGeometry, DramSpec
 
 
@@ -122,6 +124,19 @@ class DramOrganization:
         channel, rank = divmod(slot, g.ranks_per_channel)
         return DramCoordinate(channel, rank, chip, bank, subarray, row, column)
 
+    @property
+    def rows_per_bank(self) -> int:
+        return self.geometry.subarrays_per_bank * self.geometry.rows_per_subarray
+
+    def global_rows(self, slots) -> np.ndarray:
+        """Global row of every slot (vectorised :meth:`coordinate_of`), numbered
+        in the flat fill order, so a row's flat bank is ``row // rows_per_bank``."""
+        slots = np.asarray(slots, dtype=np.int64)
+        if slots.size and (slots.min() < 0 or slots.max() >= self.total_slots):
+            bad = slots[(slots < 0) | (slots >= self.total_slots)][0]
+            raise IndexError(f"slot {bad} out of range [0, {self.total_slots})")
+        return slots // self.geometry.columns_per_row
+
     def slot_of(self, coord: DramCoordinate) -> int:
         """Inverse of :meth:`coordinate_of`."""
         g = self.geometry
@@ -187,18 +202,3 @@ class DramOrganization:
     def slots_per_subarray(self) -> int:
         g = self.geometry
         return g.rows_per_subarray * g.columns_per_row
-
-    def bank_key(self, coord: DramCoordinate) -> Tuple[int, int, int, int]:
-        """Hashable identity of the bank holding ``coord``."""
-        return (coord.channel, coord.rank, coord.chip, coord.bank)
-
-    def global_row_key(self, coord: DramCoordinate) -> Tuple[int, int, int, int, int, int]:
-        """Hashable identity of the DRAM row holding ``coord``."""
-        return (
-            coord.channel,
-            coord.rank,
-            coord.chip,
-            coord.bank,
-            coord.subarray,
-            coord.row,
-        )

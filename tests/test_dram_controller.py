@@ -44,6 +44,23 @@ class TestExecute:
         assert result.v_supply == pytest.approx(1.025)
 
 
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "ndarray"])
+    @pytest.mark.parametrize("past_end", [False, True], ids=["negative", "past_end"])
+    def test_out_of_range_slot_raises(self, controller, as_array, past_end):
+        slot = controller.organization.total_slots if past_end else -1
+        trace = [0, 1, slot, 2]
+        if as_array:
+            trace = np.array(trace, dtype=np.int64)
+        with pytest.raises(IndexError, match=f"slot {slot} out of range"):
+            controller.execute(trace, 1.35)
+
+    def test_coordinates_and_slots_give_identical_statistics(self, controller):
+        org = controller.organization
+        slots = [0, 1, 9, 64, 65, 2]
+        coords = [org.coordinate_of(s) for s in slots]
+        assert controller.execute(coords, 1.175).stats == controller.execute(slots, 1.175).stats
+
+
 class TestVoltageSweep:
     def test_execute_at_voltages_reuses_trace(self, controller):
         voltages = [1.35, 1.175, 1.025]
