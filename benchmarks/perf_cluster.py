@@ -2,8 +2,9 @@
 """Distributed sweep throughput: localhost worker fleets vs the Runner.
 
 Runs one fixed sweep grid through the in-process serial ``Runner``
-(the baseline), then through ``repro.cluster.ClusterExecutor`` with
-1 / 2 / 4 localhost worker *subprocesses*, double-checks that every
+(the baseline), then through ``repro.cluster.ClusterExecutor`` — the
+one distributed front end, an embedded single-shot
+``ExperimentService`` — with 1 / 2 / 4 localhost worker *subprocesses*, double-checks that every
 distributed run produces records value-identical to the serial
 baseline, and writes the results to ``BENCH_cluster.json`` — the
 cluster half of the repo's performance trajectory artifacts.
@@ -45,7 +46,7 @@ The grid deliberately contains several *training-side* fingerprints
 (a seed axis), so there is real work to distribute: each worker is a
 fresh interpreter computing whole training chains, with artifacts
 flowing back over the content-addressed sync layer.  The quick variant
-doubles as the CI cluster smoke: a coordinator plus 2 localhost
+doubles as the CI cluster smoke: an embedded service plus 2 localhost
 workers over a tiny 4-point sweep, asserting record equality with the
 serial ``Runner`` (exit 1 on any divergence).
 """

@@ -8,18 +8,21 @@ Commands
     Run a grid of pipeline configs through the parallel sweep runner,
     reusing trained models across DRAM-side grid points.
 ``cluster``
-    Distribute sweeps across hosts (see docs/cluster.md):
-    ``cluster coordinator`` serves a grid's jobs to networked workers,
-    ``cluster worker`` runs one worker agent against a coordinator, and
-    ``cluster sweep`` is the single-command localhost form (embedded
-    coordinator + N worker subprocesses), and ``cluster status``
-    queries a running coordinator for job-state counts and worker
-    ages.  ``--journal`` persists job transitions next to the store
-    and ``--resume`` replays them, so a coordinator killed mid-sweep
-    restarts without re-executing done work; ``--no-affinity``
-    disables holding-aware job placement.  ``cluster top`` renders a
-    live fleet table (jobs, per-worker throughput, peer-vs-hub bytes,
-    slowest open spans) from a running coordinator's telemetry.
+    Distribute sweeps across hosts (see docs/cluster.md).  Every
+    distributed sweep runs through the experiment service:
+    ``cluster sweep`` runs one sweep on an embedded single-shot service
+    with N localhost worker subprocesses (``--workers 0 --bind
+    HOST:PORT`` serves external workers only), ``cluster serve`` keeps
+    a multi-tenant service up for ``cluster submit``/``cancel``/
+    ``results``, and ``cluster worker`` runs one worker agent against
+    either.  ``cluster status`` queries a running service for job-state
+    counts and worker ages.  ``--journal`` persists job transitions
+    next to the store and ``--resume`` replays them, so a sweep killed
+    mid-run restarts without re-executing done work;
+    ``--no-affinity`` disables holding-aware job placement.
+    ``cluster top`` renders a live fleet table (jobs, per-worker
+    throughput, peer-vs-hub bytes, slowest open spans) from a running
+    service's telemetry.
 ``telemetry``
     Work with recorded traces: ``telemetry export`` converts the
     JSONL file written by ``--trace`` to a Chrome/Perfetto
@@ -167,31 +170,6 @@ def _add_record_output_arguments(p) -> None:
                    help="print the records as JSON instead of the table")
 
 
-def _add_cluster_resilience_arguments(p) -> None:
-    """Journal/resume/affinity/fabric knobs shared by coordinator + sweep."""
-    p.add_argument("--journal", nargs="?", const="auto", default=None,
-                   metavar="PATH",
-                   help="append job transitions to a JSONL journal; with "
-                        "no PATH it lives next to the store "
-                        "(CACHE_DIR/journal.jsonl, requires --cache-dir)")
-    p.add_argument("--resume", action="store_true",
-                   help="replay an existing journal: journaled-done jobs "
-                        "whose artifacts are still cached are never "
-                        "re-leased (implies --journal)")
-    p.add_argument("--compact-every", type=int, default=None, metavar="N",
-                   help="auto-compact the journal after every N events, "
-                        "folding lease/requeue chatter into one done "
-                        "snapshot (default: never)")
-    p.add_argument("--no-affinity", dest="affinity", action="store_false",
-                   help="disable worker-affinity scheduling (grants fall "
-                        "back to plain creation order)")
-    p.add_argument("--no-peer-sync", dest="peer_sync", action="store_false",
-                   help="disable the peer-to-peer artifact fabric: the "
-                        "coordinator answers no locate queries and every "
-                        "artifact byte routes through it (pre-fabric hub "
-                        "topology)")
-
-
 def _add_sweep_parser(subparsers) -> None:
     p = subparsers.add_parser(
         "sweep",
@@ -303,26 +281,6 @@ def _add_cluster_parser(subparsers) -> None:
     _add_record_output_arguments(results)
     _add_telemetry_arguments(results)
 
-    coord = commands.add_parser(
-        "coordinator",
-        help="serve a sweep's jobs to networked workers, then print records",
-    )
-    _add_grid_arguments(coord)
-    coord.add_argument("--bind", default="127.0.0.1:8752", metavar="HOST:PORT",
-                       help="address to listen on (port 0 = ephemeral)")
-    coord.add_argument("--lease-s", type=float, default=30.0, metavar="S",
-                       help="job lease/heartbeat timeout in seconds")
-    coord.add_argument("--max-retries", type=int, default=3, metavar="N",
-                       help="lease grants per job before the sweep fails")
-    coord.add_argument("--wait-timeout", type=float, default=None, metavar="S",
-                       help="give up if the sweep is not distributed within "
-                            "S seconds (default: wait for workers forever)")
-    coord.add_argument("--cache-dir", metavar="DIR",
-                       help="artifact-store directory shared across sweeps")
-    _add_cluster_resilience_arguments(coord)
-    _add_record_output_arguments(coord)
-    _add_telemetry_arguments(coord)
-
     worker = commands.add_parser(
         "worker",
         help="run one worker agent against a coordinator",
@@ -403,28 +361,54 @@ def _add_cluster_parser(subparsers) -> None:
 
     sweep = commands.add_parser(
         "sweep",
-        help="localhost cluster sweep: embedded coordinator + N worker "
-             "subprocesses",
+        help="run one sweep on an embedded single-shot service with N "
+             "localhost worker subprocesses (0 = external workers only)",
     )
     _add_grid_arguments(sweep)
     sweep.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="worker subprocesses to launch")
+                       help="worker subprocesses to launch (0 = serve "
+                            "external `repro cluster worker` agents only)")
     sweep.add_argument("--threads-per-worker", type=int, default=1, metavar="T",
                        help="BLAS/OpenMP threads each worker may use "
                             "(0 = leave the runtimes uncapped)")
-    sweep.add_argument("--port", type=int, default=0, metavar="PORT",
-                       help="coordinator port (0 = ephemeral)")
-    sweep.add_argument("--lease-s", type=float, default=30.0, metavar="S")
-    sweep.add_argument("--max-retries", type=int, default=3, metavar="N")
-    sweep.add_argument("--wait-timeout", type=float, default=600.0, metavar="S",
-                       help="abort if not distributed within S seconds")
+    sweep.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
+                       help="worker-plane bind address (port 0 = "
+                            "ephemeral); the control plane stays on "
+                            "127.0.0.1")
+    sweep.add_argument("--lease-s", type=float, default=30.0, metavar="S",
+                       help="job lease/heartbeat timeout in seconds")
+    sweep.add_argument("--max-retries", type=int, default=3, metavar="N",
+                       help="lease grants per job before the sweep fails")
+    sweep.add_argument("--wait-timeout", type=float, default=None, metavar="S",
+                       help="abort if not distributed within S seconds "
+                            "(default: 600 with a local fleet; external "
+                            "workers are waited for indefinitely)")
     sweep.add_argument("--max-idle-s", type=float, default=30.0, metavar="S",
                        help="worker subprocesses exit after S seconds of "
                             "coordinator unreachability (bounds orphan "
                             "lifetime after a coordinator crash)")
     sweep.add_argument("--cache-dir", metavar="DIR",
                        help="coordinator artifact-store directory")
-    _add_cluster_resilience_arguments(sweep)
+    sweep.add_argument("--journal", nargs="?", const="auto", default=None,
+                       metavar="PATH",
+                       help="append job transitions to a JSONL journal; with "
+                            "no PATH it lives next to the store "
+                            "(CACHE_DIR/journal.jsonl, requires --cache-dir)")
+    sweep.add_argument("--resume", action="store_true",
+                       help="replay an existing journal: journaled-done jobs "
+                            "whose artifacts are still cached are never "
+                            "re-leased (implies --journal)")
+    sweep.add_argument("--compact-every", type=int, default=None, metavar="N",
+                       help="auto-compact the journal after every N events, "
+                            "folding lease/requeue chatter into one done "
+                            "snapshot (default: never)")
+    sweep.add_argument("--no-affinity", dest="affinity", action="store_false",
+                       help="disable worker-affinity scheduling (grants fall "
+                            "back to plain creation order)")
+    sweep.add_argument("--no-peer-sync", dest="peer_sync", action="store_false",
+                       help="disable the peer-to-peer artifact fabric: the "
+                            "coordinator answers no locate queries and every "
+                            "artifact byte routes through it (hub topology)")
     _add_record_output_arguments(sweep)
     _add_telemetry_arguments(sweep)
 
@@ -787,12 +771,7 @@ def _render_top(status: dict) -> str:
 
 
 def _sweep_status_lines(status: dict) -> list:
-    """Per-tenant lines for ``status``/``top``: state, counts, journal lag.
-
-    Covers both shapes the wire ``status`` op can take: the service's
-    ``sweeps`` map (one entry per tenant) and the single-plan
-    coordinator's top-level ``journal`` summary.
-    """
+    """Per-tenant lines for ``status``/``top``: state, counts, journal lag."""
     lines = []
     sweeps = status.get("sweeps") or {}
     for sweep_id in sorted(sweeps):
@@ -810,13 +789,6 @@ def _sweep_status_lines(status: dict) -> list:
         if info.get("failure"):
             line += f" | failure: {info['failure']}"
         lines.append(line)
-    journal = status.get("journal") or {}
-    if journal and not sweeps:
-        lines.append(
-            f"journal: {journal.get('events', 0)} event(s), "
-            f"lag {journal.get('lag', 0)} since last snapshot "
-            f"({journal.get('path', '?')})"
-        )
     return lines
 
 
@@ -1062,99 +1034,65 @@ def _cmd_cluster(args) -> int:
         )
         return 0
 
-    from repro.cluster import ClusterExecutor, format_address
+    if args.cluster_command == "sweep":
+        import contextlib
 
-    base = _base_config(args).with_overrides(engine=args.engine)
-    grid = _grid_from_args(args, base)
-    store = ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
-    journal = _resolve_journal(args)
+        from repro.cluster import (
+            ClusterExecutor,
+            format_address,
+            local_worker_processes,
+        )
 
-    if args.cluster_command == "coordinator":
+        base = _base_config(args).with_overrides(engine=args.engine)
+        grid = _grid_from_args(args, base)
+        store = (
+            ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
+        )
         executor = ClusterExecutor(
             base,
             store=store,
             address=args.bind,
             lease_timeout=args.lease_s,
             max_attempts=args.max_retries,
-            wait_timeout=args.wait_timeout,
-            journal=journal,
+            wait_timeout=(
+                args.wait_timeout if args.wait_timeout is not None
+                else 600.0 if args.workers > 0 else None
+            ),
+            journal=_resolve_journal(args),
             resume=args.resume,
             affinity=args.affinity,
             peer_sync=args.peer_sync,
             compact_every=args.compact_every,
         )
 
-        def announce(address):
-            if not args.json:
-                print(f"coordinator listening on {format_address(address)}; "
-                      "waiting for workers "
-                      f"(repro cluster worker --coordinator {format_address(address)})")
+        with contextlib.ExitStack() as fleet:
 
-        records = executor.run(grid, on_ready=announce)
-        _emit_records(
-            args, records, title=f"distributed sweep: {len(records)} grid points"
-        )
-        return 0
+            def on_ready(address):
+                if args.workers > 0:
+                    fleet.enter_context(local_worker_processes(
+                        address,
+                        args.workers,
+                        max_idle_s=args.max_idle_s,
+                        threads_per_worker=(
+                            None if args.threads_per_worker == 0
+                            else args.threads_per_worker
+                        ),
+                        peer=args.peer_sync,
+                        trace=args.trace,
+                        log_level=args.log_level,
+                    ))
+                elif not args.json:
+                    print(f"serving workers on {format_address(address)} "
+                          "(repro cluster worker --coordinator "
+                          f"{format_address(address)})", flush=True)
 
-    if args.cluster_command == "sweep":
-        # The single-command localhost form is the service composition,
-        # thin: an in-process ExperimentService in single-shot mode
-        # (shutdown_when_idle tells workers to exit when the one sweep
-        # is done), submit, a local worker fleet, wait, assemble.
-        from repro.cluster import local_worker_processes
-        from repro.cluster.service import ExperimentService
-        from repro.telemetry import span
-
-        service = ExperimentService(
-            store=store,
-            port=args.port,
-            lease_timeout=args.lease_s,
-            max_attempts=args.max_retries,
-            affinity=args.affinity,
-            peer_sync=args.peer_sync,
-            shutdown_when_idle=True,
-        )
-        service.start()
-        grid_points = 1
-        for values in grid.values():
-            grid_points *= max(1, len(values))
-        try:
-            with span(
-                "cluster.sweep",
-                grid_points=grid_points,
-                workers=args.workers,
-            ):
-                # Submitted inside the span: lease grants carry it as
-                # remote parent, so worker job spans land in this trace.
-                managed = service.submit(
-                    base,
-                    grid,
-                    journal_path=journal,
-                    resume=bool(args.resume),
-                    compact_every=args.compact_every,
-                )
-                with local_worker_processes(
-                    service.worker_address,
-                    args.workers,
-                    max_idle_s=args.max_idle_s,
-                    threads_per_worker=(
-                        None if args.threads_per_worker == 0
-                        else args.threads_per_worker
-                    ),
-                    peer=args.peer_sync,
-                    trace=args.trace,
-                    log_level=args.log_level,
-                ):
-                    service.wait(managed.sweep_id, timeout=args.wait_timeout)
-                records = service.results(managed.sweep_id)
-        finally:
-            service.stop()
+            records = executor.run(grid, on_ready=on_ready)
         _emit_records(
             args,
             records,
             title=(
                 f"cluster sweep: {len(records)} grid points over "
-                f"{args.workers} localhost worker(s)"
+                f"{args.workers or 'external'} worker(s)"
             ),
         )
         return 0

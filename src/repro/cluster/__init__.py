@@ -2,37 +2,35 @@
 
 The cluster subsystem turns the single-host sweep engine
 (:mod:`repro.pipeline`) into a horizontally scalable service, using
-nothing beyond the standard library (``socket`` + ``json``):
+nothing beyond the standard library (``asyncio`` + ``socket`` +
+``json``):
 
-- a **coordinator** (:class:`CoordinatorServer` around a
-  :class:`SweepPlan`) expands the grid, dedupes jobs by stage
-  fingerprint and hands them out over a small line protocol with
-  leases, heartbeats, requeue-with-exclusion, bounded retries and
-  affinity-aware grants (jobs prefer the worker already holding their
-  upstream artifacts);
+- the **experiment service** (:class:`ExperimentService`) is the one
+  coordinator front end: an asyncio worker plane feeding
+  :class:`CoordinatorCore` dispatch plus an HTTP/JSON control plane
+  (:class:`ServiceClient`).  It multiplexes many named sweeps (each a
+  :class:`SweepPlan` that dedupes jobs by stage fingerprint and hands
+  them out with leases, heartbeats, requeue-with-exclusion, bounded
+  retries and affinity-aware grants) over one shared store and one
+  worker fleet, with shared-token auth on both planes;
 - **worker agents** (:class:`WorkerAgent`) lease jobs, run them through
   the ordinary :class:`~repro.pipeline.stages.ExperimentPipeline`
   against a local store, and sync artifacts by fingerprint
-  (:class:`ArtifactSync` — idempotent, resumable by retry);
+  (:class:`ArtifactSync` — idempotent, resumable by retry), peer-first
+  when the fabric is on;
 - the **executor** (:class:`ClusterExecutor`) drives one sweep end to
-  end — overlapping record assembly with the distribution tail — and
-  assembles :class:`~repro.pipeline.runner.RunRecord` lists whose
-  values are identical to the serial
-  :class:`~repro.pipeline.runner.Runner`;
+  end through a single-shot embedded service — serve, submit, optional
+  local fleet, wait, results — and returns
+  :class:`~repro.pipeline.runner.RunRecord` lists whose values are
+  identical to the serial :class:`~repro.pipeline.runner.Runner`;
 - an optional **journal** (:class:`SweepJournal`) persists every job
-  transition next to the store, so a coordinator killed mid-sweep
-  restarts with ``--resume`` and never re-leases a journaled-done
-  fingerprint;
-- the **experiment service** (:class:`ExperimentService`) runs the
-  coordinator logic persistently: many named sweeps (each with its own
-  plan + journal) multiplexed over one shared store and one worker
-  fleet, administered through an HTTP/JSON control plane
-  (:class:`ServiceClient`), with shared-token auth on both planes.
+  transition next to the store, so a sweep killed mid-run restarts
+  with ``--resume`` and never re-leases a journaled-done fingerprint.
 
 Minimal end-to-end (one process per block, any hosts)::
 
-    # coordinator host
-    python -m repro cluster coordinator --bind 0.0.0.0:8752 --seeds 1 2 3
+    # coordinator host: one sweep, external workers only
+    python -m repro cluster sweep --workers 0 --bind 0.0.0.0:8752 --seeds 1 2 3
 
     # each worker host
     python -m repro cluster worker --coordinator coord-host:8752
@@ -50,11 +48,7 @@ See ``docs/cluster.md`` for the protocol, lease semantics and the
 artifact sync contract.
 """
 
-from repro.cluster.coordinator import (
-    CoordinatorCore,
-    CoordinatorServer,
-    SweepEndpoint,
-)
+from repro.cluster.coordinator import CoordinatorCore, SweepEndpoint
 from repro.cluster.executor import (
     ClusterExecutor,
     DistributionTimeout,
@@ -91,7 +85,6 @@ __all__ = [
     "ClusterExecutor",
     "ConnectionClosed",
     "CoordinatorCore",
-    "CoordinatorServer",
     "DEFAULT_HTTP_PORT",
     "DEFAULT_PORT",
     "DistributionTimeout",

@@ -1,12 +1,10 @@
 """Coordinator request handling: lease jobs and sync artifacts.
 
 The handler logic lives in :class:`CoordinatorCore`, a transport-free
-dispatcher shared by every server front end: the classic blocking
-:class:`CoordinatorServer` below (one ``ThreadingTCPServer`` per sweep,
-born and dying with it) and the persistent asyncio
-:class:`~repro.cluster.service.ExperimentService`, which serves *many*
-tenant sweeps — each its own :class:`~repro.cluster.plan.SweepPlan` —
-through one core over one shared
+dispatcher.  Its one front end is the asyncio
+:class:`~repro.cluster.service.ExperimentService`, which serves one or
+many tenant sweeps — each its own :class:`~repro.cluster.plan.SweepPlan`
+— through one core over one shared
 :class:`~repro.pipeline.store.ArtifactStore` and one
 :class:`~repro.cluster.plan.WorkerRegistry`.
 
@@ -19,10 +17,10 @@ by ``blob_bytes``):
              registers the worker's artifact server in the routing
              table (its host is taken from the TCP source address)
 ``lease``    request a job from *any* active sweep; replies ``{"job":
-             …}`` (plus ``sources``: peer addresses for the job's
-             upstream keys, and ``sweep_id`` when serving a named
-             tenant), ``{"wait": s}`` or ``{"shutdown": true}`` once a
-             non-persistent plan finishes
+             …, "sweep_id": …}`` (plus ``sources``: peer addresses for
+             the job's upstream keys), ``{"wait": s}`` or
+             ``{"shutdown": true}`` once a single-shot service's sweeps
+             finish
 ``heartbeat``  renew a lease; ``{"ok": false}`` means the lease is lost
 ``complete``   report a finished job (idempotent); the reply's
              ``holding`` count lets the worker skip redundant holdings
@@ -34,9 +32,9 @@ by ``blob_bytes``):
 ``put``      upload one artifact blob by fingerprint (idempotent: an
              already-present fingerprint is acknowledged, not rewritten)
 ``status``   job-state counts + transfer counters + aggregated worker
-             telemetry + per-plan journal lag, for monitoring
-             (``repro cluster top``); service cores add a per-sweep
-             breakdown under ``sweeps``
+             telemetry, plus a per-sweep breakdown (state, counts,
+             journal lag) under ``sweeps``, for monitoring
+             (``repro cluster top``)
 ===========  ==========================================================
 
 Multi-tenant routing: a ``heartbeat``/``complete``/``fail`` may carry
@@ -76,20 +74,18 @@ artifact still lands here.
 
 from __future__ import annotations
 
-import hmac
 import pickle
-import socketserver
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cluster.plan import SweepPlan, WorkerRegistry
 from repro.cluster.protocol import (
+    AUTH_REJECTION,
     PROTOCOL_CAPS,
+    authorized,
     encode_blob,
-    recv_message,
-    send_message,
 )
 from repro.pipeline.store import MISS, ArtifactStore
 from repro.telemetry import get_metrics, merge_snapshots
@@ -135,17 +131,15 @@ class _WireCache:
                 self.total_bytes -= len(evicted)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SweepEndpoint:
-    """One schedulable tenant as the core sees it.
+    """One schedulable tenant as the core sees it."""
 
-    ``sweep_id`` is ``None`` exactly in single-sweep mode
-    (:class:`CoordinatorServer`), where grants are not stamped and the
-    wire format stays byte-compatible with pre-service workers.
-    """
-
-    sweep_id: Optional[str]
+    sweep_id: str
     plan: SweepPlan
+    #: Trace context adopted by lease grants of THIS sweep (the
+    #: submitter's active span), so worker job spans join the
+    #: submitting client's trace, tenant by tenant.
     trace_context: Optional[Dict[str, str]] = None
     name: Optional[str] = None
 
@@ -162,28 +156,27 @@ class SweepEndpoint:
 
 
 class CoordinatorCore:
-    """Transport-agnostic coordinator dispatch, shared by both planes.
+    """Transport-agnostic coordinator dispatch for the worker plane.
 
     Parameters
     ----------
     store:
         The shared artifact store all tenants publish into.
     sweeps:
-        A callable returning the current endpoints in submission order.
-        Single-sweep servers pass a constant one-tuple; the experiment
-        service passes a live view of its tenant registry, so newly
+        A callable returning the current endpoints in submission order
+        — a live view of the service's tenant registry, so newly
         submitted sweeps become leasable without any rebind.
     registry:
         The :class:`~repro.cluster.plan.WorkerRegistry` every tenant
-        plan shares (single-sweep mode: the plan's own).
+        plan shares.
     token:
         Optional shared secret; when set, every request must carry it.
     persistent:
         ``True`` (service mode) never answers ``shutdown`` — idle
         workers poll forever, ready for the next submitted sweep.
-        ``False`` reproduces the classic lifecycle: once every known
-        sweep is finished (done, failed, or cancelled) workers are told
-        to shut down.
+        ``False`` is the single-shot lifecycle: once every known sweep
+        is finished (done, failed, or cancelled) workers are told to
+        shut down.
     """
 
     def __init__(
@@ -220,10 +213,6 @@ class CoordinatorCore:
         #: lock: snapshot ingest must not contend with blob traffic).
         self._telemetry_lock = threading.Lock()
         self._telemetry: Dict[str, Dict[str, Any]] = {}
-        #: Trace context (``{"trace_id", "span_id"}``) stamped onto
-        #: lease grants so worker job spans join the sweep's trace.
-        #: Per-endpoint contexts (service tenants) take precedence.
-        self.trace_context: Optional[Dict[str, str]] = None
 
     # ------------------------------------------------------------------
     # Request dispatch.
@@ -236,12 +225,9 @@ class CoordinatorCore:
     ) -> Tuple[Dict[str, Any], Optional[bytes], Optional[str]]:
         op = payload.get("op")
         worker = str(payload.get("worker", "anonymous"))
-        if not self._authorized(payload):
+        if not authorized(payload, self.token):
             get_metrics().counter("cluster.auth_rejects").inc()
-            return {
-                "error": "authentication required: bad or missing token",
-                "code": "auth",
-            }, None, None
+            return dict(AUTH_REJECTION), None, None
         if op in ("hello", "lease", "heartbeat", "complete"):
             snapshot = payload.get("telemetry")
             if snapshot:
@@ -316,26 +302,16 @@ class CoordinatorCore:
                 None,
             )
         if op == "status":
-            return self._op_status(), None, None
+            return self.status_view(), None, None
         return {"error": f"unknown op {op!r}"}, None, None
-
-    def _authorized(self, payload: Dict[str, Any]) -> bool:
-        if self.token is None:
-            return True
-        supplied = payload.get("token")
-        return isinstance(supplied, str) and hmac.compare_digest(
-            supplied, self.token
-        )
 
     def _resolve_plan(self, payload: Dict[str, Any]) -> Optional[SweepPlan]:
         """Route a job report to its tenant plan.
 
-        Grants from a service core carry ``sweep_id`` and workers echo
-        it back; reports without one (single-sweep mode, or an older
-        worker against a service) fall back to the sole endpoint or to
-        a ``job_id`` lookup — job ids embed the full stage fingerprint,
-        so whichever plan knows the id owns (an identical copy of) the
-        artifact.
+        Grants carry ``sweep_id`` and workers echo it back; reports
+        without one (older workers) fall back to a ``job_id`` lookup —
+        job ids embed the full stage fingerprint, so whichever plan
+        knows the id owns (an identical copy of) the artifact.
         """
         endpoints = self.sweeps()
         sweep_id = payload.get("sweep_id")
@@ -344,8 +320,6 @@ class CoordinatorCore:
                 if endpoint.sweep_id == sweep_id:
                     return endpoint.plan
             return None
-        if len(endpoints) == 1:
-            return endpoints[0].plan
         job_id = payload.get("job_id")
         if job_id is not None:
             for endpoint in endpoints:
@@ -389,12 +363,13 @@ class CoordinatorCore:
             job = plan.lease(worker)
             if job is None:
                 continue
-            reply: Dict[str, Any] = {"job": job.to_wire(plan.lease_timeout)}
-            if endpoint.sweep_id is not None:
-                # Workers echo this back on heartbeat/complete/fail so
-                # reports route straight to the owning tenant; old
-                # workers ignore it and fall back to job-id routing.
-                reply["sweep_id"] = endpoint.sweep_id
+            # Workers echo ``sweep_id`` back on heartbeat/complete/fail
+            # so reports route straight to the owning tenant; old
+            # workers ignore it and fall back to job-id routing.
+            reply: Dict[str, Any] = {
+                "job": job.to_wire(plan.lease_timeout),
+                "sweep_id": endpoint.sweep_id,
+            }
             # Routing hints ride along with the grant: peer addresses
             # for every upstream key some live peer holds, so the
             # worker can pull missing inputs without a separate
@@ -402,15 +377,15 @@ class CoordinatorCore:
             sources = plan.locate(job.upstream, exclude=worker)
             if sources:
                 reply["sources"] = sources
-            trace = endpoint.trace_context or self.trace_context
+            trace = endpoint.trace_context
             if trace:
                 # Workers adopt this as the remote parent of their job
                 # spans; old workers simply ignore the unknown key.
                 reply["trace"] = dict(trace)
             return reply
         # Nothing grantable right now.  A persistent core waits for the
-        # next submission; the classic lifecycle shuts workers down once
-        # every sweep it ever knew is finished.  Note "reason", not
+        # next submission; the single-shot lifecycle shuts workers down
+        # once every sweep it ever knew is finished.  Note "reason", not
         # "error": the client treats an "error" key as a protocol
         # failure and raises, which would turn the graceful plan-failed
         # shutdown into apparent unreachability.
@@ -428,11 +403,8 @@ class CoordinatorCore:
         return {"wait": self.poll_s}
 
     def status_view(self) -> Dict[str, Any]:
-        """The ``status`` op's payload, for in-process callers (HTTP
-        ``/fleet``, the service's own monitoring) — no socket, no auth."""
-        return self._op_status()
-
-    def _op_status(self) -> Dict[str, Any]:
+        """The ``status`` op's payload; in-process callers (HTTP
+        ``/fleet``, the service's own monitoring) call it directly."""
         endpoints = self.sweeps()
         totals = {"pending": 0, "leased": 0, "done": 0, "failed": 0}
         failure: Optional[str] = None
@@ -443,16 +415,15 @@ class CoordinatorCore:
                 totals[state] += counts.get(state, 0)
             if failure is None:
                 failure = endpoint.plan.failure
-            if endpoint.sweep_id is not None:
-                entry: Dict[str, Any] = dict(counts)
-                entry["state"] = endpoint.state
-                entry["failure"] = endpoint.plan.failure
-                if endpoint.name:
-                    entry["name"] = endpoint.name
-                journal = endpoint.plan.journal_status()
-                if journal is not None:
-                    entry["journal"] = journal
-                sweeps[endpoint.sweep_id] = entry
+            entry: Dict[str, Any] = dict(counts)
+            entry["state"] = endpoint.state
+            entry["failure"] = endpoint.plan.failure
+            if endpoint.name:
+                entry["name"] = endpoint.name
+            journal = endpoint.plan.journal_status()
+            if journal is not None:
+                entry["journal"] = journal
+            sweeps[endpoint.sweep_id] = entry
         payload: Dict[str, Any] = dict(totals)
         payload["failure"] = failure
         payload["workers"] = {
@@ -460,14 +431,7 @@ class CoordinatorCore:
         }
         payload["transfers"] = self.transfer_stats()
         payload["telemetry"] = self.telemetry_view()
-        if len(endpoints) == 1 and endpoints[0].sweep_id is None:
-            journal = endpoints[0].plan.journal_status()
-            if journal is not None:
-                payload["journal"] = journal
-        else:
-            # Multi-tenant (or empty persistent) coordinator: always
-            # present the tenant map, even when it has no rows yet.
-            payload["sweeps"] = sweeps
+        payload["sweeps"] = sweeps
         return payload
 
     def _op_get(
@@ -519,128 +483,7 @@ class CoordinatorCore:
             }
 
 
-class CoordinatorServer:
-    """Serve one :class:`SweepPlan` + :class:`ArtifactStore` over TCP.
-
-    The classic single-sweep front end: a ``ThreadingTCPServer`` whose
-    handler threads feed one :class:`CoordinatorCore` wrapping exactly
-    one plan.  Wire behaviour (including shutdown-when-finished) is
-    identical to the pre-service coordinator; ``token`` adds the shared
-    secret check on every op.
-    """
-
-    def __init__(
-        self,
-        plan: SweepPlan,
-        store: ArtifactStore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        poll_s: Optional[float] = None,
-        wire_cache_bytes: int = 64 * 1024 * 1024,
-        token: Optional[str] = None,
-    ):
-        self.plan = plan
-        self.store = store
-        #: Seconds an idle worker should wait before polling again.
-        self.poll_s = (
-            float(poll_s) if poll_s is not None else min(1.0, plan.lease_timeout / 4.0)
-        )
-        endpoint = SweepEndpoint(sweep_id=None, plan=plan)
-        self.core = CoordinatorCore(
-            store,
-            lambda: (endpoint,),
-            plan.registry,
-            token=token,
-            poll_s=self.poll_s,
-            wire_cache_bytes=wire_cache_bytes,
-            peer_sync=plan.peer_sync,
-            persistent=False,
-        )
-
-        coordinator = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:  # pragma: no cover - thin shim
-                coordinator._handle(self)
-
-        class Server(socketserver.ThreadingTCPServer):
-            daemon_threads = True
-            allow_reuse_address = True
-
-        self._server = Server((host, port), Handler)
-        self.address: Tuple[str, int] = self._server.server_address[:2]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def trace_context(self) -> Optional[Dict[str, str]]:
-        return self.core.trace_context
-
-    @trace_context.setter
-    def trace_context(self, context: Optional[Dict[str, str]]) -> None:
-        self.core.trace_context = context
-
-    # ------------------------------------------------------------------
-    def start(self) -> "CoordinatorServer":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-cluster-coordinator",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "CoordinatorServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------
-    def _handle(self, request: socketserver.StreamRequestHandler) -> None:
-        try:
-            payload, blob = recv_message(request.rfile)
-        except Exception:
-            return  # half-open connection; nothing to answer
-        try:
-            reply, reply_blob, reply_encoding = self._dispatch(
-                payload, blob, client_host=str(request.client_address[0])
-            )
-        except Exception as error:  # surface, don't kill the thread
-            reply, reply_blob, reply_encoding = (
-                {"error": f"{type(error).__name__}: {error}"},
-                None,
-                None,
-            )
-        try:
-            send_message(request.wfile, reply, reply_blob, encoding=reply_encoding)
-        except Exception:
-            pass  # requester vanished; the protocol is stateless
-
-    def _dispatch(
-        self,
-        payload: Dict[str, Any],
-        blob: Optional[bytes],
-        client_host: str = "127.0.0.1",
-    ) -> Tuple[Dict[str, Any], Optional[bytes], Optional[str]]:
-        return self.core.dispatch(payload, blob, client_host=client_host)
-
-    def telemetry_view(self) -> Dict[str, Any]:
-        return self.core.telemetry_view()
-
-    def transfer_stats(self) -> Dict[str, int]:
-        return self.core.transfer_stats()
-
-
 __all__ = [
     "CoordinatorCore",
-    "CoordinatorServer",
     "SweepEndpoint",
 ]

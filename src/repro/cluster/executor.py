@@ -1,4 +1,4 @@
-"""Distributed sweep execution: coordinator-side driver + local fleets.
+"""Distributed sweep execution: one sweep through an embedded service.
 
 :class:`ClusterExecutor` is the cluster twin of
 :class:`repro.pipeline.runner.Runner`: it expands the same grids,
@@ -11,20 +11,17 @@ every grid; only the execution-dependent record fields differ, and each
 record additionally carries per-job placement/transfer stats under
 ``cluster/…`` keys in ``stage_timings``.
 
-Record assembly **overlaps the tail of distribution**: grid points are
-assembled in order as soon as their own chain is fully cached, while
-stragglers for later points are still computing on the workers — the
-coordinator never sits idle waiting for the last lease to finish
-before it starts pulling finished results together.
+It is a thin composition over
+:class:`~repro.cluster.service.ExperimentService` in single-shot mode
+(``shutdown_when_idle=True``): serve → submit → optional local fleet
+(``on_ready``) → wait → results.  ``repro cluster sweep`` and
+``Runner(coordinator=...)`` both run through it, so there is one
+distributed-sweep front end.
 
-With ``journal=...`` the executor keeps a disk journal of every job
-transition next to the store; ``resume=True`` replays it so a
-coordinator killed mid-sweep restarts without re-leasing a single
-journaled-done fingerprint (see docs/cluster.md, "Journal and
-resume").
-
-``Runner(coordinator=...)`` delegates here, so existing sweep call
-sites scale out by adding one argument.
+With ``journal=...`` the sweep keeps a disk journal of every job
+transition next to the store; ``resume=True`` replays it so a sweep
+killed mid-run restarts without re-leasing a single journaled-done
+fingerprint (see docs/cluster.md, "Journal and resume").
 """
 
 from __future__ import annotations
@@ -34,118 +31,46 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.cluster.coordinator import CoordinatorServer
-from repro.cluster.journal import SweepJournal
 from repro.cluster.plan import PlanFailed, SweepPlan
 from repro.cluster.protocol import format_address, parse_address
+from repro.cluster.service import DistributionTimeout, ExperimentService
 from repro.cluster.worker import WorkerAgent
 from repro.core.config import SparkXDConfig
 from repro.pipeline.runner import RunRecord
-from repro.pipeline.stages import ExperimentPipeline
 from repro.pipeline.store import ArtifactStore
-from repro.telemetry import current_context, get_logger, span
+from repro.telemetry import get_logger, span
 
 LOG = get_logger(__name__)
 
 
-class DistributionTimeout(TimeoutError):
-    """``wait_timeout`` elapsed with the sweep still incomplete.
-
-    Carries the scheduling diagnostics an operator needs to tell "no
-    workers ever connected" apart from "a worker went quiet mid-sweep":
-    ``counts`` is the job-state histogram at expiry and ``worker_ages``
-    maps each known worker to seconds since its last contact.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        counts: Dict[str, int],
-        worker_ages: Dict[str, float],
-    ):
-        super().__init__(message)
-        self.counts = dict(counts)
-        self.worker_ages = dict(worker_ages)
-
-
-def assemble_point(
-    plan: SweepPlan,
-    store: ArtifactStore,
-    params: Mapping[str, Any],
-    config: SparkXDConfig,
-    keys: Sequence[Tuple[str, str]],
-) -> RunRecord:
-    """Assemble one grid point's :class:`RunRecord` from a warmed store.
-
-    Identical in values to one iteration of :meth:`Runner.run`'s
-    assembly loop; the volatile fields additionally record where each
-    job ran and what its transfers cost (``cluster/…`` keys in
-    ``stage_timings``).  Every key in ``keys`` must already be
-    satisfied — callers wait (executor) or require a done plan
-    (service results) before assembling.
-    """
-    started = time.perf_counter()
-    # A per-record stats view keeps the hit/miss deltas attributable to
-    # THIS record's assembly: the shared store's counters may be
-    # concurrently bumped by server threads serving other tenants or
-    # straggler uploads.
-    view = store.stats_view()
-    pipeline = ExperimentPipeline(config, store=view)
-    result = pipeline.run()
-    record = RunRecord.from_result(
-        result,
-        params=params,
-        wall_time_s=time.perf_counter() - started,
-        cache_hits=view.stats.hits,
-        cache_misses=view.stats.misses,
-        stage_timings=pipeline.stage_timings,
-    )
-    for (stage_name, digest) in keys:
-        job = plan.job_for(stage_name, digest)
-        if job is None or not job.stats:
-            continue
-        prefix = f"cluster/{stage_name}"
-        exec_s = (job.stats.get("exec_s") or {}).get(stage_name)
-        if exec_s is not None:
-            record.stage_timings[prefix] = float(exec_s)
-        record.stage_timings[f"{prefix}:sync_s"] = float(
-            job.stats.get("sync_s", 0.0)
-        )
-        record.stage_timings[f"{prefix}:sync_bytes"] = float(
-            job.stats.get("pulled_bytes", 0)
-        ) + float(job.stats.get("pushed_bytes", 0))
-        record.stage_timings[f"{prefix}:worker"] = float(
-            job.stats.get("slot", -1)
-        )
-    return record
-
-
 class ClusterExecutor:
-    """Run sweeps by fanning jobs out to workers over the line protocol.
+    """Run one sweep at a time by fanning jobs out to networked workers.
 
     Parameters
     ----------
     base_config / store:
         As in :class:`~repro.pipeline.runner.Runner`.
     address:
-        ``(host, port)`` or ``"host:port"`` the embedded coordinator
-        binds — this is the address workers connect to.  Port ``0``
-        picks an ephemeral port; read :attr:`address` once running.
-    lease_timeout / max_attempts:
+        ``(host, port)`` or ``"host:port"`` the worker plane binds —
+        this is the address workers connect to.  Port ``0`` picks an
+        ephemeral port; read :attr:`address` once running.  The HTTP
+        control plane always binds ``127.0.0.1`` (ephemeral port): a
+        single-shot sweep exposes no control plane beyond this host.
+    lease_timeout / max_attempts / poll_s:
         Lease semantics (see :mod:`repro.cluster.plan`).
     wait_timeout:
         Optional ceiling in seconds on one sweep's distribution phase;
         ``None`` waits for workers indefinitely.  On expiry a
-        :class:`DistributionTimeout` is raised carrying the job-state
-        counts and each worker's last-contact age.
+        :class:`~repro.cluster.service.DistributionTimeout` is raised
+        carrying the job-state counts and each worker's last-contact
+        age.
     journal:
-        Optional path to the coordinator journal (JSONL of job
-        transitions, conventionally next to the store).  An existing
-        journal is refused unless ``resume=True``.
+        Optional path to the sweep journal (JSONL of job transitions,
+        conventionally next to the store).  An existing journal is
+        refused unless ``resume=True``.
     resume:
         Replay an existing journal before distributing: jobs whose
         ``done`` events are journaled and whose artifacts are still in
@@ -158,26 +83,14 @@ class ClusterExecutor:
         Enable the peer-to-peer artifact fabric (default): the
         coordinator answers ``locate`` with live peer addresses and
         workers pull artifacts from each other.  ``False`` turns the
-        routing table off — every byte routes through the hub, exactly
-        the pre-fabric topology.
+        routing table off — every byte routes through the hub.
     compact_every:
         Auto-compact the journal after this many appended events (see
         :class:`~repro.cluster.journal.SweepJournal`); ``None`` never
         compacts automatically.
-    service:
-        Optional control-plane address (``host:port`` or
-        ``http://host:port``) of a running
-        :class:`~repro.cluster.service.ExperimentService`.  When set,
-        :meth:`run` does not bind an embedded coordinator at all — it
-        *submits* the sweep over HTTP, polls until completion, and
-        rebuilds the records the service assembled, so many executors
-        (and many tenants) share one fleet and one store.  The
-        journal/resume/affinity/peer_sync knobs are the service's to
-        decide in this mode.
     token:
-        Shared cluster secret: stamped onto control-plane requests
-        (service mode) or required of workers by the embedded
-        coordinator.
+        Shared cluster secret required of every worker (and of the
+        local control plane).
     """
 
     def __init__(
@@ -195,12 +108,10 @@ class ClusterExecutor:
         affinity: bool = True,
         peer_sync: bool = True,
         compact_every: Optional[int] = None,
-        service: Optional[Any] = None,
         token: Optional[str] = None,
     ):
         self.base_config = base_config or SparkXDConfig()
         self.store = store if store is not None else ArtifactStore()
-        self.service = service
         self.token = token
         self.bind_address: Tuple[str, int] = parse_address(address)
         self.lease_timeout = float(lease_timeout)
@@ -212,7 +123,7 @@ class ClusterExecutor:
         self.affinity = bool(affinity)
         self.peer_sync = bool(peer_sync)
         self.compact_every = None if compact_every is None else int(compact_every)
-        #: Actual bound address of the most recent (or current) run.
+        #: Actual bound worker-plane address of the most recent run.
         self.address: Optional[Tuple[str, int]] = None
         #: The plan of the most recent run (inspection/tests).
         self.last_plan: Optional[SweepPlan] = None
@@ -220,7 +131,6 @@ class ClusterExecutor:
         #: counts and bytes) — what the peer fabric exists to shrink.
         self.last_transfer_stats: Optional[Dict[str, int]] = None
 
-    # ------------------------------------------------------------------
     def run(
         self,
         grid: Mapping[str, Sequence[Any]],
@@ -228,165 +138,52 @@ class ClusterExecutor:
     ) -> List[RunRecord]:
         """Distribute ``grid`` and assemble records deterministically.
 
-        ``on_ready(address)`` — if given — is called once the
-        coordinator is listening, with the bound ``(host, port)``;
-        convenient for launching a worker fleet against an ephemeral
-        port (see :func:`local_worker_processes`).
-
-        In service mode (``service=...``) there is no embedded
-        coordinator: the grid is submitted to the running service and
-        ``on_ready`` is not called (the fleet already exists).
+        ``on_ready(address)`` — if given — is called once the sweep is
+        submitted and the worker plane is listening, with its bound
+        ``(host, port)``; convenient for launching a worker fleet
+        against an ephemeral port (see :func:`local_worker_processes`).
         """
-        if self.service is not None:
-            return self._run_via_service(grid)
-        journal = (
-            SweepJournal(
-                self.journal_path,
+        host, port = self.bind_address
+        service = ExperimentService(
+            store=self.store,
+            host=host,
+            port=port,
+            http_host="127.0.0.1",
+            token=self.token,
+            lease_timeout=self.lease_timeout,
+            max_attempts=self.max_attempts,
+            poll_s=self.poll_s,
+            affinity=self.affinity,
+            peer_sync=self.peer_sync,
+            shutdown_when_idle=True,
+        )
+        with service, span("cluster.sweep") as sweep_span:
+            # Submitted inside the span: lease grants carry it as remote
+            # parent, so worker job spans land in this trace (no-op
+            # when tracing is off).
+            managed = service.submit(
+                self.base_config,
+                grid,
+                journal_path=self.journal_path,
                 resume=self.resume,
                 compact_every=self.compact_every,
             )
-            if self.journal_path is not None
-            else None
-        )
-        try:
-            plan = SweepPlan(
-                self.base_config,
-                grid,
-                self.store,
-                lease_timeout=self.lease_timeout,
-                max_attempts=self.max_attempts,
-                journal=journal,
-                affinity=self.affinity,
-                peer_sync=self.peer_sync,
-            )
-            self.last_plan = plan
-            host, port = self.bind_address
-            with span(
-                "cluster.sweep",
+            plan = managed.plan
+            sweep_span.set(
                 plan_id=plan.plan_id[:16],
                 jobs=len(plan.jobs),
                 grid_points=len(plan.configs),
-            ), CoordinatorServer(
-                plan,
-                self.store,
-                host=host,
-                port=port,
-                poll_s=self.poll_s,
-                token=self.token,
-            ) as server:
-                # Lease grants carry the sweep span as remote parent, so
-                # worker job spans land in this trace (no-op when
-                # tracing is off: current_context() is None).
-                server.trace_context = current_context()
-                self.address = server.address
-                if on_ready is not None:
-                    on_ready(server.address)
-                # Assembly overlaps the distribution tail: each grid
-                # point is assembled the moment its own chain is fully
-                # cached, while later points' jobs are still running —
-                # and the server keeps answering throughout, so late
-                # pollers get their shutdown reply instead of a
-                # connection error.
-                records = self._assemble(plan)
-                self.last_transfer_stats = server.transfer_stats()
-            return records
-        finally:
-            if journal is not None:
-                journal.close()
-
-    def _run_via_service(
-        self, grid: Mapping[str, Sequence[Any]]
-    ) -> List[RunRecord]:
-        """Submit to a running service, poll, and rebuild its records.
-
-        The records come back through ``RunRecord.to_dict`` /
-        ``from_dict`` — value-identical to local assembly by
-        construction (``records_equivalent`` compares exactly these
-        dicts), minus only the in-memory ``result`` object.
-        """
-        from repro.cluster.http_api import ServiceClient
-
-        client = ServiceClient(self.service, token=self.token)
-        submitted = client.submit(self.base_config, grid)
-        sweep_id = str(submitted["sweep_id"])
-        LOG.info(
-            "sweep submitted to service",
-            extra={"sweep_id": sweep_id, "state": submitted.get("state")},
-        )
-        final = client.wait(sweep_id, timeout=self.wait_timeout)
-        if final.get("state") == "cancelled":
-            raise PlanFailed(f"sweep {sweep_id} was cancelled on the service")
-        payload = client.results(sweep_id)
-        return [
-            RunRecord.from_dict(entry) for entry in payload.get("records", [])
-        ]
-
-    def _wait_for_keys(
-        self,
-        plan: SweepPlan,
-        keys: Sequence[Tuple[str, str]],
-        deadline: Optional[float],
-    ) -> None:
-        """Block until every ``(stage, digest)`` in ``keys`` is satisfied.
-
-        A key is satisfied when it has no job (cached before the sweep
-        started) or its job is done (which implies the artifact reached
-        the store).  Raises :class:`PlanFailed` on plan failure and a
-        diagnostic :class:`DistributionTimeout` once ``deadline``
-        passes — never returns with the keys incomplete.
-        """
-        while True:
-            # The expiry tick below is what detects worker death even
-            # when no other worker ever polls again.
-            plan.expire_leases()
-            plan.raise_on_failure()
-            if all(
-                (job := plan.job_for(stage, digest)) is None or job.state == "done"
-                for stage, digest in keys
-            ):
-                return
-            if deadline is not None and time.monotonic() > deadline:
-                counts = plan.counts()
-                ages = plan.worker_ages()
-                contacts = (
-                    ", ".join(
-                        f"{name} seen {age:.1f}s ago"
-                        for name, age in sorted(ages.items(), key=lambda kv: kv[1])
-                    )
-                    or "none ever connected"
-                )
-                raise DistributionTimeout(
-                    f"distributed sweep incomplete after {self.wait_timeout}s "
-                    f"(job states: {counts}; workers: {contacts}) — are "
-                    f"workers connected to {format_address(self.address)}?",
-                    counts=counts,
-                    worker_ages=ages,
-                )
-            time.sleep(0.05)
-
-    # ------------------------------------------------------------------
-    def _assemble(self, plan: SweepPlan) -> List[RunRecord]:
-        """Deterministic record assembly, overlapped with distribution.
-
-        Identical in values to :meth:`Runner.run`'s assembly loop —
-        grid order, warmed cache — but each record is built as soon as
-        *its* chain is fully cached instead of after the whole plan
-        drains, so assembly of finished grid points proceeds while
-        stragglers run.  The volatile fields additionally record where
-        each job ran, how long transfers took and how many bytes moved.
-        """
-        deadline = (
-            None if self.wait_timeout is None else time.monotonic() + self.wait_timeout
-        )
-        records: List[RunRecord] = []
-        for params, config, keys in zip(plan.param_sets, plan.configs, plan.chain_keys):
-            self._wait_for_keys(plan, keys, deadline)
-            records.append(
-                assemble_point(plan, self.store, params, config, keys)
             )
-        # Belt and braces: every job must be done once all records are
-        # assembled (chain keys cover every job by construction).
-        plan.raise_on_failure()
+            self.last_plan = plan
+            self.address = service.worker_address
+            if on_ready is not None:
+                on_ready(self.address)
+            service.wait(managed.sweep_id, timeout=self.wait_timeout)
+            # The service keeps answering during assembly, so late
+            # pollers get their shutdown reply instead of a connection
+            # error.
+            records = service.results(managed.sweep_id)
+            self.last_transfer_stats = service.core.transfer_stats()
         return records
 
 
@@ -535,7 +332,6 @@ __all__ = [
     "ClusterExecutor",
     "DistributionTimeout",
     "PlanFailed",
-    "assemble_point",
     "local_worker_processes",
     "local_worker_threads",
 ]

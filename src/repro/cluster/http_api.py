@@ -402,12 +402,13 @@ class ServiceClient:
         """Poll until the sweep leaves ``running``; returns final status.
 
         Raises :class:`~repro.cluster.plan.PlanFailed` on a failed
-        sweep and the executor's ``DistributionTimeout`` (same type the
-        embedded coordinator raises) when ``timeout`` elapses first.
+        sweep and :class:`~repro.cluster.service.DistributionTimeout`
+        (the type :meth:`ExperimentService.wait` raises in-process) when
+        ``timeout`` elapses first.
         """
         import time as _time
 
-        from repro.cluster.executor import DistributionTimeout
+        from repro.cluster.service import DistributionTimeout
         from repro.cluster.plan import PlanFailed
 
         deadline = None if timeout is None else _time.monotonic() + float(timeout)

@@ -3,9 +3,9 @@
 A :class:`SweepPlan` expands a parameter grid into a deduplicated DAG of
 stage-aligned jobs — one job per *unique missing* stage fingerprint,
 exactly the waves :class:`repro.pipeline.runner.Runner` runs through its
-process pool, but expressed as leasable units a
-:class:`~repro.cluster.coordinator.CoordinatorServer` can hand to
-networked workers:
+process pool, but expressed as leasable units an
+:class:`~repro.cluster.service.ExperimentService` can hand to networked
+workers:
 
 - **dedupe** — two grid points agreeing on a stage's fingerprint share
   one job, so each training-side fingerprint is executed exactly once
@@ -119,10 +119,9 @@ class PlanFailed(RuntimeError):
 class WorkerRegistry:
     """Fleet state shared across plans: liveness, slots, holdings, peers.
 
-    In single-sweep mode each :class:`SweepPlan` creates its own
-    registry, reproducing the pre-service behaviour exactly.  The
-    experiment service instead passes ONE registry to every tenant
-    plan, so worker liveness, stable slot numbers, affinity holdings
+    A :class:`SweepPlan` built on its own (unit tests, offline
+    scheduling) creates a private registry.  The experiment service
+    instead passes ONE registry to every tenant plan, so worker liveness, stable slot numbers, affinity holdings
     and the peer routing table describe the whole fleet no matter which
     sweep a worker last touched — a worker that went silent is dead for
     *every* tenant, and an artifact it holds is locatable from *every*

@@ -23,6 +23,7 @@ and networks you trust, as you would with any shared build cache.
 from __future__ import annotations
 
 import gzip
+import hmac
 import json
 import socket
 from typing import Any, BinaryIO, Dict, Optional, Sequence, Tuple
@@ -67,6 +68,26 @@ class AuthError(ProtocolError):
     authentication mismatch is a deployment error no retry loop can
     recover from: callers must surface it loudly, not poll through it.
     """
+
+
+def authorized(payload: Dict[str, Any], token: Optional[str]) -> bool:
+    """Whether ``payload`` carries the shared secret ``token``.
+
+    ``None`` disables auth.  The comparison is constant-time, so a
+    listener on a shared network leaks nothing about the secret.
+    """
+    if token is None:
+        return True
+    supplied = payload.get("token")
+    return isinstance(supplied, str) and hmac.compare_digest(supplied, token)
+
+
+#: The reply to a request that fails :func:`authorized`;
+#: :class:`ClusterClient` raises it as :class:`AuthError`.
+AUTH_REJECTION: Dict[str, Any] = {
+    "error": "authentication required: bad or missing token",
+    "code": "auth",
+}
 
 
 def parse_address(address: Any, default_port: int = DEFAULT_PORT) -> Tuple[str, int]:

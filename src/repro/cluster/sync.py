@@ -80,7 +80,8 @@ class ArtifactSync:
     Parameters
     ----------
     client:
-        The coordinator (hub) client.
+        The coordinator (hub) client.  Its ``token`` is also stamped on
+        every peer request: peers check the same cluster secret.
     store:
         The local artifact store.
     worker:
@@ -231,7 +232,9 @@ class ArtifactSync:
         """
         if address in self._dead_peers:
             return None
-        peer = ClusterClient(address, timeout=self.peer_timeout)
+        peer = ClusterClient(
+            address, timeout=self.peer_timeout, token=self.client.token
+        )
         try:
             reply, blob = peer.request(
                 {
@@ -348,7 +351,9 @@ class ArtifactSync:
         keys = list(keys)
         if not keys or address in self._dead_peers:
             return []
-        peer = ClusterClient(address, timeout=self.peer_timeout)
+        peer = ClusterClient(
+            address, timeout=self.peer_timeout, token=self.client.token
+        )
         try:
             reply, _ = peer.request(
                 {"op": "peer_has", "keys": [list(key) for key in keys]}

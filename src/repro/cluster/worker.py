@@ -45,9 +45,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.protocol import (
+    AUTH_REJECTION,
     AuthError,
     ClusterClient,
     ProtocolError,
+    authorized,
     encode_blob,
     recv_message,
     send_message,
@@ -202,10 +204,22 @@ class _PeerServer:
     Pickling happens per request under no lock (the store is
     thread-safe and content-addressed blobs are immutable), so serving
     never blocks the worker's own job execution.
+
+    ``token`` is the worker's cluster secret: when set, every request
+    must carry it, exactly as on the coordinator's worker plane — the
+    server binds every interface, so without it any host that can reach
+    the port could read every artifact.
     """
 
-    def __init__(self, store: ArtifactStore, host: str = "0.0.0.0", port: int = 0):
+    def __init__(
+        self,
+        store: ArtifactStore,
+        host: str = "0.0.0.0",
+        port: int = 0,
+        token: Optional[str] = None,
+    ):
         self.store = store
+        self.token = token
         self._stats_lock = threading.Lock()
         self._served = 0
         self._served_bytes = 0
@@ -272,6 +286,8 @@ class _PeerServer:
     def _dispatch(
         self, payload: Dict[str, Any]
     ) -> Tuple[Dict[str, Any], Optional[bytes], Optional[str]]:
+        if not authorized(payload, self.token):
+            return dict(AUTH_REJECTION), None, None
         op = payload.get("op")
         if op == "peer_get":
             stage = str(payload.get("stage"))
@@ -401,7 +417,9 @@ class WorkerAgent:
     def run_forever(self) -> WorkerStats:
         """Serve jobs until the coordinator says shutdown (or vanishes)."""
         if self.peer and self._peer_server is None:
-            self._peer_server = _PeerServer(self.store, port=self.peer_port).start()
+            self._peer_server = _PeerServer(
+                self.store, port=self.peer_port, token=self.client.token
+            ).start()
         try:
             return self._run_loop()
         finally:
@@ -513,9 +531,9 @@ class WorkerAgent:
                 job=str(job.get("display_id", job_id)),
                 stage=str(job.get("stage", "")),
                 worker=self.name,
-                # The tenant dimension: "" in single-sweep mode, the
-                # service's sweep_id otherwise, so fleet traces split
-                # per tenant (docs/telemetry.md).
+                # The tenant dimension: the grant's sweep_id ("" from a
+                # coordinator that predates the service), so fleet
+                # traces split per tenant (docs/telemetry.md).
                 sweep=str(sweep_id or ""),
             ):
                 # Upstream artifacts first: everything the chain prefix

@@ -6,9 +6,11 @@ The cluster line protocol is stringly typed: clients emit
 typo'd or half-added op surfaces only at runtime as an ``unknown op``
 error reply (or as a handler no client can ever reach).
 
-There are now two dispatch tables: the coordinator's
-(``cluster/coordinator.py``) and the worker's peer artifact server
-(``cluster/worker.py`` — ``peer_get``/``peer_has``), and a handler
+There are two dispatch tables: the coordinator's
+(``CoordinatorCore.dispatch`` in ``cluster/coordinator.py``, which the
+experiment service — the one coordinator front end — feeds) and the
+worker's peer artifact server (``cluster/worker.py`` —
+``peer_get``/``peer_has``), and a handler
 module can itself emit ops (the worker both serves peers and leases
 jobs).  Both directions are checked across all of them:
 

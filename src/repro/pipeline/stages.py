@@ -256,7 +256,7 @@ class DramEvalStage(Stage):
 def default_stage_classes() -> Tuple[type, ...]:
     """The canonical stage classes, in execution order.
 
-    The sweep runner and the cluster coordinator/worker both construct
+    The sweep runner and the cluster service and workers all construct
     per-depth chain prefixes from this tuple, so a "run the chain up to
     depth *d*" job means the same thing on every host.
     """

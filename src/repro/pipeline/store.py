@@ -117,7 +117,7 @@ class ArtifactStore:
         self._memory: Dict[Tuple[str, str], Any] = {}
         self.stats = CacheStats()
         # The memory map and the CacheStats counters are read-modify-
-        # written from every thread of a ThreadingTCPServer coordinator
+        # written from every dispatch thread of the experiment service
         # (has/get/put handlers), so all their mutations go through this
         # lock.  File I/O deliberately stays outside it: disk publishes
         # are atomic (and treat a lost race as a hit), so artifact
@@ -139,8 +139,8 @@ class ArtifactStore:
 
         Lets one reader attribute hits/misses to *its* traffic while
         other threads hammer the same store through the original handle
-        (the cluster executor's overlapped assembly runs while worker
-        uploads are still being served).
+        (a service assembles one sweep's records while worker uploads
+        for other tenants are still being served).
         """
         view = copy.copy(self)
         view._lock = self._lock  # one lock per underlying store
@@ -172,12 +172,8 @@ class ArtifactStore:
             return artifact
         if self.root is not None:
             path = self._path(key)
-            if path.exists():
-                # Load outside the lock: two threads racing on one key
-                # both unpickle the same published bytes and the loser
-                # merely overwrites an identical object.
-                with open(path, "rb") as handle:
-                    artifact = pickle.load(handle)
+            artifact = self._load(path)
+            if artifact is not MISS:
                 # Refresh the mtime so prune()'s LRU ordering reflects
                 # use, not just creation.
                 with contextlib.suppress(OSError):
@@ -191,6 +187,33 @@ class ArtifactStore:
             self.stats.misses += 1
         get_metrics().counter("store.misses").inc()
         return MISS
+
+    def _load(self, path: Path) -> Any:
+        """Unpickle one artifact file; :data:`MISS` if absent or damaged.
+
+        Loads outside the lock: two threads racing on one key both
+        unpickle the same published bytes and the loser merely
+        overwrites an identical object.  A file that fails to unpickle
+        (truncated, bit-flipped) is deleted and counted in
+        ``store.corrupt``, so the caller recomputes the stage instead
+        of every later run dying on the same bytes.
+        """
+        try:
+            handle = open(path, "rb")
+        except FileNotFoundError:
+            return MISS
+        try:
+            with handle:
+                return pickle.load(handle)
+        except Exception as error:
+            with contextlib.suppress(OSError):
+                path.unlink()
+            get_metrics().counter("store.corrupt").inc()
+            LOG.warning(
+                "damaged artifact file deleted; the stage will recompute",
+                extra={"path": str(path), "error": f"{type(error).__name__}: {error}"},
+            )
+            return MISS
 
     def put(self, stage: str, digest: str, artifact: Any) -> None:
         key = (stage, digest)
@@ -206,7 +229,7 @@ class ArtifactStore:
     def put_bytes(self, stage: str, digest: str, blob: bytes) -> None:
         """Store an already-pickled artifact without unpickling it.
 
-        The fast path of the cluster coordinator's artifact uploads: a
+        The fast path of the experiment service's artifact uploads: a
         disk-backed store writes ``blob`` straight to the artifact file
         and does *not* retain the object in memory — the artifact loads
         lazily on first :meth:`get`, so a long-running coordinator's

@@ -41,39 +41,44 @@ class TestClusterParser:
         assert args.coordinator == "host:8752"
         assert args.max_idle_s == 30.0
 
-    def test_coordinator_grid_flags_match_sweep(self):
+    def test_sweep_external_workers_flags(self):
         args = build_parser().parse_args([
-            "cluster", "coordinator", "--bind", "0.0.0.0:9999",
+            "cluster", "sweep", "--workers", "0", "--bind", "0.0.0.0:9999",
             "--seeds", "1", "2", "--voltages", "1.325", "1.025",
             "--lease-s", "15", "--max-retries", "5",
         ])
+        assert args.workers == 0
         assert args.bind == "0.0.0.0:9999"
         assert args.seeds == [1, 2]
         assert args.lease_s == 15.0
         assert args.max_retries == 5
+        # The one-sweep front end is `cluster sweep`; there is no
+        # separate coordinator subcommand.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cluster", "coordinator"])
 
     def test_cluster_sweep_defaults(self):
         args = build_parser().parse_args(["cluster", "sweep"])
         assert args.workers == 2
-        assert args.port == 0
-        assert args.wait_timeout == 600.0
+        assert args.bind == "127.0.0.1:0"
+        # Resolved at run time: 600 s with a local fleet, no ceiling
+        # when only external workers serve the sweep.
+        assert args.wait_timeout is None
         assert args.max_idle_s == 30.0
         assert args.journal is None
         assert args.resume is False
         assert args.affinity is True
 
     def test_journal_resume_affinity_flags(self):
-        for command in (["cluster", "coordinator"], ["cluster", "sweep"]):
-            args = build_parser().parse_args(
-                command + ["--journal", "--resume", "--no-affinity"]
-            )
-            assert args.journal == "auto"  # bare flag: next to the store
-            assert args.resume is True
-            assert args.affinity is False
-            args = build_parser().parse_args(
-                command + ["--journal", "/tmp/j.jsonl"]
-            )
-            assert args.journal == "/tmp/j.jsonl"
+        command = ["cluster", "sweep"]
+        args = build_parser().parse_args(
+            command + ["--journal", "--resume", "--no-affinity"]
+        )
+        assert args.journal == "auto"  # bare flag: next to the store
+        assert args.resume is True
+        assert args.affinity is False
+        args = build_parser().parse_args(command + ["--journal", "/tmp/j.jsonl"])
+        assert args.journal == "/tmp/j.jsonl"
 
     def test_journal_path_resolution(self, tmp_path):
         from repro.cli import _resolve_journal

@@ -11,6 +11,7 @@ import pickle
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,9 +20,9 @@ from repro.analysis.export import records_equivalent, run_record_value_dict
 from repro.cluster import (
     ClusterClient,
     ClusterExecutor,
-    CoordinatorServer,
+    DistributionTimeout,
+    ExperimentService,
     PlanFailed,
-    SweepPlan,
     WorkerAgent,
     local_worker_threads,
     parse_address,
@@ -132,11 +133,12 @@ class TestConfigWire:
 
 @pytest.fixture
 def coordinator():
-    plan = SweepPlan(
-        TINY, {}, ArtifactStore(), lease_timeout=0.3, max_attempts=5
-    )
-    with CoordinatorServer(plan, plan.store, poll_s=0.05) as server:
-        yield server
+    """A single-shot service holding one submitted sweep."""
+    with ExperimentService(
+        lease_timeout=0.3, max_attempts=5, poll_s=0.05, shutdown_when_idle=True
+    ) as service:
+        managed = service.submit(TINY, {})
+        yield SimpleNamespace(address=service.worker_address, plan=managed.plan)
 
 
 def _client(server):
@@ -403,18 +405,21 @@ class TestDistributedSweep:
 
     def test_plan_failure_shuts_workers_down_gracefully(self):
         """A failed plan must deliver shutdown, not look unreachable."""
-        plan = SweepPlan(
-            TINY, {}, ArtifactStore(), lease_timeout=5.0, max_attempts=1
-        )
-        with CoordinatorServer(plan, plan.store, poll_s=0.05) as server:
-            client = ClusterClient(server.address, timeout=5.0)
+        with ExperimentService(
+            lease_timeout=5.0, max_attempts=1, poll_s=0.05,
+            shutdown_when_idle=True,
+        ) as service:
+            plan = service.submit(TINY, {}).plan
+            client = ClusterClient(service.worker_address, timeout=5.0)
             reply, _ = client.request({"op": "lease", "worker": "crashy"})
             client.request({
                 "op": "fail", "worker": "crashy",
                 "job_id": reply["job"]["job_id"], "error": "boom",
             })
             assert plan.failed  # retry budget (1) exhausted
-            agent = WorkerAgent(server.address, max_idle_s=10.0, retry_s=0.05)
+            agent = WorkerAgent(
+                service.worker_address, max_idle_s=10.0, retry_s=0.05
+            )
             started = time.monotonic()
             stats = agent.run_forever()
             # Graceful: one lease round trip, not an unreachability
@@ -475,6 +480,50 @@ class TestClusterCLI:
         assert records_equivalent(reference, cli_records)
 
 
+    def test_zero_workers_serves_external_agents(
+        self, capsys, monkeypatch, cli_reference
+    ):
+        """``cluster sweep --workers 0 --bind`` launches no fleet: the
+        sweep is computed by agents that connect on their own, and the
+        control plane stays on loopback whatever ``--bind`` says."""
+        import json
+
+        from repro.cli import main
+        from repro.pipeline.runner import RunRecord
+
+        services = []
+        real_start = ExperimentService.start
+
+        def recording_start(self):
+            services.append(self)
+            return real_start(self)
+
+        monkeypatch.setattr(ExperimentService, "start", recording_start)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # External agents, started first: they retry until it binds.
+        with local_worker_threads(("127.0.0.1", port), 2, max_idle_s=60.0):
+            exit_code = main([
+                "cluster", "sweep", "--workers", "0",
+                "--bind", f"0.0.0.0:{port}",
+                "--neurons", "12", "--train", "40", "--test", "25",
+                "--steps", "30", "--bound", "0.5",
+                "--voltages", "1.325", "1.025",
+                "--lease-s", "15", "--wait-timeout", "300", "--json",
+            ])
+        assert exit_code == 0
+        _, serial_records = cli_reference
+        records = [
+            RunRecord.from_dict(entry)
+            for entry in json.loads(capsys.readouterr().out)
+        ]
+        assert records_equivalent(serial_records, records)
+        (service,) = services
+        assert service.worker_address == ("0.0.0.0", port)
+        assert service.http_address[0] == "127.0.0.1"
+
+
 class TestRecordValueHelpers:
     def test_value_dict_drops_execution_fields(self, run_record_factory):
         record = run_record_factory()
@@ -510,43 +559,40 @@ def cli_reference():
 
 
 class TestDistributionTimeout:
-    def test_no_workers_raises_diagnostic_timeout(self):
-        from repro.cluster import DistributionTimeout
+    """``ExperimentService.wait`` tells "no workers" from "worker went
+    quiet" — the diagnostic an operator reads on ``--wait-timeout``."""
 
-        executor = ClusterExecutor(
-            TINY, store=ArtifactStore(), wait_timeout=0.3, poll_s=0.05
-        )
-        with pytest.raises(DistributionTimeout) as info:
-            executor.run(GRID)
+    def test_no_workers_raises_diagnostic_timeout(self):
+        with ExperimentService(poll_s=0.05) as service:
+            managed = service.submit(TINY, GRID)
+            with pytest.raises(DistributionTimeout) as info:
+                service.wait(managed.sweep_id, timeout=0.3)
         error = info.value
         assert isinstance(error, TimeoutError)  # old except clauses still work
-        assert error.counts["pending"] == len(executor.last_plan.jobs)
+        assert error.counts["pending"] == len(managed.plan.jobs)
         assert error.worker_ages == {}
         assert "none ever connected" in str(error)
 
     def test_timeout_reports_last_worker_contact(self):
-        from repro.cluster import DistributionTimeout
-
-        executor = ClusterExecutor(
-            TINY,
-            store=ArtifactStore(),
-            wait_timeout=0.8,
-            lease_timeout=30.0,
-            poll_s=0.05,
-        )
-
-        def poke(address):
+        with ExperimentService(lease_timeout=30.0, poll_s=0.05) as service:
+            managed = service.submit(TINY, GRID)
             # One worker leases a job and is never heard from again.
-            ClusterClient(address, timeout=5.0).request(
+            ClusterClient(service.worker_address, timeout=5.0).request(
                 {"op": "lease", "worker": "ghost"}
             )
-
-        with pytest.raises(DistributionTimeout) as info:
-            executor.run(GRID, on_ready=poke)
+            with pytest.raises(DistributionTimeout) as info:
+                service.wait(managed.sweep_id, timeout=0.8)
         error = info.value
         assert "ghost" in error.worker_ages
         assert error.counts["leased"] == 1
-        assert "ghost" in str(error) and "seen" in str(error)
+        assert "ghost seen" in str(error)
+
+    def test_executor_forwards_wait_timeout(self):
+        executor = ClusterExecutor(
+            TINY, store=ArtifactStore(), wait_timeout=0.3, poll_s=0.05
+        )
+        with pytest.raises(DistributionTimeout, match="none ever connected"):
+            executor.run(GRID)
 
 
 class TestJournalResume:
@@ -557,25 +603,26 @@ class TestJournalResume:
     ):
         import contextlib
 
-        from repro.cluster import CoordinatorServer, SweepJournal, SweepPlan
-
         serial_records, _ = serial_sweep
         root = tmp_path / "cache"
         journal_path = root / "journal.jsonl"
 
         # ---- Phase 1: a sweep that dies after 2 of 5 jobs. ----------
         store1 = ArtifactStore(root)
-        journal1 = SweepJournal(journal_path)
-        plan1 = SweepPlan(
-            TINY, GRID, store1, lease_timeout=10.0, journal=journal1
-        )
-        n_jobs = len(plan1.jobs)
-        with CoordinatorServer(plan1, store1, poll_s=0.05) as server:
+        # Stopping the service is the "crash": listeners gone, journal
+        # closed on disk with 2 done events.
+        with ExperimentService(
+            store=store1, lease_timeout=10.0, poll_s=0.05
+        ) as service:
+            plan1 = service.submit(
+                TINY, GRID, journal_path=journal_path, resume=False
+            ).plan
+            n_jobs = len(plan1.jobs)
             agent = WorkerAgent(
-                server.address, name="mortal", max_jobs=2, max_idle_s=30.0
+                service.worker_address, name="mortal", max_jobs=2,
+                max_idle_s=30.0,
             )
             agent.run_forever()  # returns after 2 completed jobs
-        journal1.close()  # the "crash": server gone, journal on disk
         assert agent.stats.jobs_done == 2
         done_phase1 = [j for j in plan1.jobs.values() if j.state == "done"]
         assert len(done_phase1) == 2
@@ -618,8 +665,6 @@ class TestJournalResume:
         self, serial_sweep, tmp_path
     ):
         import contextlib
-
-        from repro.cluster import SweepJournal
 
         serial_records, _ = serial_sweep
         root = tmp_path / "cache"

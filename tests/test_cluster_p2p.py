@@ -23,9 +23,10 @@ import pytest
 from repro import SparkXDConfig
 from repro.analysis.export import records_equivalent
 from repro.cluster import (
+    AuthError,
     ClusterClient,
     ClusterExecutor,
-    CoordinatorServer,
+    ExperimentService,
     ProtocolError,
     SweepJournal,
     SweepPlan,
@@ -40,7 +41,7 @@ from repro.cluster.protocol import (
 )
 from repro.cluster.sync import ArtifactSync
 from repro.cluster.worker import _PeerServer
-from repro.pipeline import ArtifactStore, Runner, default_stages
+from repro.pipeline import ArtifactStore, Runner
 
 TINY = SparkXDConfig.small(
     n_train=40,
@@ -124,6 +125,27 @@ class TestPeerServer:
         finally:
             server.stop()
 
+    def test_token_required_when_set(self):
+        store = ArtifactStore()
+        store.put("s", "d", "secret weights")
+        server = _PeerServer(store, token="cluster-secret").start()
+        request = {"op": "peer_get", "stage": "s", "digest": "d"}
+        try:
+            with pytest.raises(AuthError):
+                ClusterClient(("127.0.0.1", server.port)).request(request)
+            with pytest.raises(AuthError):
+                ClusterClient(
+                    ("127.0.0.1", server.port), token="wrong"
+                ).request(request)
+            reply, blob = ClusterClient(
+                ("127.0.0.1", server.port), token="cluster-secret"
+            ).request(request)
+            assert reply["found"]
+            assert pickle.loads(blob) == "secret weights"
+            assert server.transfer_stats()["served"] == 1
+        finally:
+            server.stop()
+
     def test_gzip_accept_shrinks_wire_bytes(self):
         store = ArtifactStore()
         store.put("s", "d", [0.0] * 4096)  # compressible, > GZIP_MIN_BYTES
@@ -199,14 +221,11 @@ class TestPeerRouting:
 
 
 # ----------------------------------------------------------------------
-def _hub(store=None):
-    """A coordinator over an empty plan, as a pure artifact hub."""
-    store = store if store is not None else ArtifactStore()
-    plan = SweepPlan(TINY, {}, store, lease_timeout=10.0)
-    for job in plan.jobs.values():  # mark everything done: serving only
-        store.put(job.stage, job.digest, "x")
-        plan.complete("setup", job.job_id)
-    return CoordinatorServer(plan, store, port=0)
+def _hub(store=None, token=None):
+    """A service with no sweeps, as a pure artifact hub."""
+    return ExperimentService(
+        store=store if store is not None else ArtifactStore(), token=token
+    )
 
 
 class TestSyncPeerFirst:
@@ -219,14 +238,36 @@ class TestSyncPeerFirst:
         with _hub(hub_store) as server:
             try:
                 sync = ArtifactSync(
-                    ClusterClient(server.address),
+                    ClusterClient(server.worker_address),
                     ArtifactStore(),
                     sources=[["s", "d", [f"127.0.0.1:{peer.port}"]]],
                 )
                 assert sync.pull("s", "d")
                 assert sync.pulled_bytes_peer > 0
                 assert sync.pulled_bytes_hub == 0
-                assert server.transfer_stats()["get_count"] == 0
+                assert server.core.transfer_stats()["get_count"] == 0
+            finally:
+                peer.stop()
+
+    def test_peer_pull_sends_the_cluster_token(self):
+        """Sync's peer clients carry the hub client's token, so a
+        token-holding peer serves them instead of forcing a fallback."""
+        peer_store = ArtifactStore()
+        peer_store.put("s", "d", "peer copy")
+        peer = _PeerServer(peer_store, token="cluster-secret").start()
+        with _hub(token="cluster-secret") as server:
+            try:
+                sync = ArtifactSync(
+                    ClusterClient(server.worker_address, token="cluster-secret"),
+                    ArtifactStore(),
+                    sources=[["s", "d", [f"127.0.0.1:{peer.port}"]]],
+                )
+                assert sync.pull("s", "d")
+                assert sync.pulled_bytes_peer > 0
+                assert sync.peer_fallbacks == 0
+                assert sync.peer_has(f"127.0.0.1:{peer.port}", [("s", "d")]) == [
+                    ("s", "d")
+                ]
             finally:
                 peer.stop()
 
@@ -236,7 +277,7 @@ class TestSyncPeerFirst:
         dead = _dead_address()
         with _hub(hub_store) as server:
             sync = ArtifactSync(
-                ClusterClient(server.address),
+                ClusterClient(server.worker_address),
                 ArtifactStore(),
                 sources=[["s", "d", [dead]]],
             )
@@ -273,7 +314,7 @@ class TestSyncPeerFirst:
         assert ready.wait(5.0)
         with _hub(hub_store) as server:
             sync = ArtifactSync(
-                ClusterClient(server.address),
+                ClusterClient(server.worker_address),
                 ArtifactStore(),
                 sources=[["s", "d", [f"127.0.0.1:{holder['port']}"]]],
             )
@@ -291,7 +332,7 @@ class TestSyncPeerFirst:
         with _hub(hub_store) as server:
             try:
                 sync = ArtifactSync(
-                    ClusterClient(server.address),
+                    ClusterClient(server.worker_address),
                     ArtifactStore(),
                     sources=[["s", "d", [address]]],
                 )
@@ -309,7 +350,7 @@ class TestSyncPeerFirst:
         hub_store.put("s", "d", "hub")
         with _hub(hub_store) as server:
             sync = ArtifactSync(
-                ClusterClient(server.address),
+                ClusterClient(server.worker_address),
                 ArtifactStore(),
                 peer_sync=False,
                 sources=[["s", "d", [_dead_address()]]],
@@ -418,7 +459,7 @@ class TestGzipWire:
             hub_store = ArtifactStore()
             with _hub(hub_store) as server:
                 sync = ArtifactSync(
-                    ClusterClient(server.address),
+                    ClusterClient(server.worker_address),
                     local,
                     hub_caps=caps,
                 )
@@ -439,80 +480,67 @@ class TestTelemetryWireCompat:
     ignored on reply)."""
 
     @staticmethod
-    def _server():
-        store = ArtifactStore()
-        plan = SweepPlan(TINY, GRID, store, lease_timeout=10.0)
-        return CoordinatorServer(plan, store, port=0)
+    def _core(trace_context=None):
+        """The dispatch core of a service with one submitted sweep (no
+        sockets: requests go straight to ``dispatch``)."""
+        service = ExperimentService()
+        service.submit(TINY, GRID, trace_context=trace_context)
+        return service.core
 
     def test_old_worker_without_telemetry_field_interoperates(self):
-        server = self._server()
-        try:
-            reply, _, _ = server._dispatch({"op": "hello", "worker": "old"}, None)
-            assert reply["ok"] and "caps" in reply
-            reply, _, _ = server._dispatch({"op": "lease", "worker": "old"}, None)
-            assert "job" in reply
-            # No sweep span installed on this server: no trace key, so
-            # a pre-telemetry worker never sees the field at all.
-            assert "trace" not in reply
-            job_id = reply["job"]["job_id"]
-            reply, _, _ = server._dispatch(
-                {"op": "heartbeat", "worker": "old", "job_id": job_id}, None
-            )
-            assert reply["ok"]
-            status, _, _ = server._dispatch({"op": "status"}, None)
-            # The worker is live yet absent from the telemetry view —
-            # it simply never reported a snapshot.
-            assert "old" in status["workers"]
-            assert "old" not in status["telemetry"]["workers"]
-        finally:
-            server._server.server_close()
+        core = self._core()
+        reply, _, _ = core.dispatch({"op": "hello", "worker": "old"}, None)
+        assert reply["ok"] and "caps" in reply
+        reply, _, _ = core.dispatch({"op": "lease", "worker": "old"}, None)
+        assert "job" in reply
+        # No sweep span installed on this sweep: no trace key, so a
+        # pre-telemetry worker never sees the field at all.
+        assert "trace" not in reply
+        job_id = reply["job"]["job_id"]
+        # An old worker never echoes sweep_id: job-id routing finds
+        # the owning sweep.
+        reply, _, _ = core.dispatch(
+            {"op": "heartbeat", "worker": "old", "job_id": job_id}, None
+        )
+        assert reply["ok"]
+        status, _, _ = core.dispatch({"op": "status"}, None)
+        # The worker is live yet absent from the telemetry view — it
+        # simply never reported a snapshot.
+        assert "old" in status["workers"]
+        assert "old" not in status["telemetry"]["workers"]
 
     def test_worker_snapshots_aggregate_latest_wins(self):
-        server = self._server()
-        try:
-            snap = {"metrics": {"counters": {"compat.test.jobs": 1}},
-                    "open_spans": [{"name": "cluster.job", "age_s": 0.5}]}
-            server._dispatch(
-                {"op": "hello", "worker": "w1", "telemetry": snap}, None
-            )
-            later = {"metrics": {"counters": {"compat.test.jobs": 3}},
-                     "open_spans": []}
-            server._dispatch(
-                {"op": "lease", "worker": "w1", "telemetry": later}, None
-            )
-            status, _, _ = server._dispatch({"op": "status"}, None)
-            view = status["telemetry"]
-            # Snapshots are cumulative: the latest replaces, never adds.
-            assert (
-                view["workers"]["w1"]["metrics"]["counters"]["compat.test.jobs"]
-                == 3
-            )
-            assert view["fleet"]["counters"]["compat.test.jobs"] == 3
-        finally:
-            server._server.server_close()
+        core = self._core()
+        snap = {"metrics": {"counters": {"compat.test.jobs": 1}},
+                "open_spans": [{"name": "cluster.job", "age_s": 0.5}]}
+        core.dispatch({"op": "hello", "worker": "w1", "telemetry": snap}, None)
+        later = {"metrics": {"counters": {"compat.test.jobs": 3}},
+                 "open_spans": []}
+        core.dispatch({"op": "lease", "worker": "w1", "telemetry": later}, None)
+        status, _, _ = core.dispatch({"op": "status"}, None)
+        view = status["telemetry"]
+        # Snapshots are cumulative: the latest replaces, never adds.
+        assert (
+            view["workers"]["w1"]["metrics"]["counters"]["compat.test.jobs"]
+            == 3
+        )
+        assert view["fleet"]["counters"]["compat.test.jobs"] == 3
 
     def test_malformed_telemetry_field_is_ignored(self):
-        server = self._server()
-        try:
-            reply, _, _ = server._dispatch(
-                {"op": "hello", "worker": "odd", "telemetry": "garbage"}, None
-            )
-            assert reply["ok"]
-            status, _, _ = server._dispatch({"op": "status"}, None)
-            assert "odd" not in status["telemetry"]["workers"]
-        finally:
-            server._server.server_close()
+        core = self._core()
+        reply, _, _ = core.dispatch(
+            {"op": "hello", "worker": "odd", "telemetry": "garbage"}, None
+        )
+        assert reply["ok"]
+        status, _, _ = core.dispatch({"op": "status"}, None)
+        assert "odd" not in status["telemetry"]["workers"]
 
     def test_lease_carries_trace_only_when_context_set(self):
-        server = self._server()
-        try:
-            server.trace_context = {"trace_id": "t" * 16, "span_id": "s" * 16}
-            reply, _, _ = server._dispatch({"op": "lease", "worker": "w"}, None)
-            assert reply["trace"] == {
-                "trace_id": "t" * 16, "span_id": "s" * 16,
-            }
-        finally:
-            server._server.server_close()
+        core = self._core(
+            trace_context={"trace_id": "t" * 16, "span_id": "s" * 16}
+        )
+        reply, _, _ = core.dispatch({"op": "lease", "worker": "w"}, None)
+        assert reply["trace"] == {"trace_id": "t" * 16, "span_id": "s" * 16}
 
     def test_new_worker_against_old_style_replies(self):
         """A telemetry-aware worker adopts ``None`` trace context (old

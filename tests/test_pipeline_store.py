@@ -309,9 +309,10 @@ class TestConcurrentWriters:
 class TestThreadSafety:
     """One shared store under many threads — the coordinator's shape.
 
-    ``CoordinatorServer`` is a ThreadingTCPServer mutating one store
-    from every request thread; the memory map and CacheStats counters
-    must therefore be lock-protected read-modify-writes.
+    ``ExperimentService`` dispatches worker requests on its event
+    loop's thread pool, every thread mutating one store; the memory map
+    and CacheStats counters must therefore be lock-protected
+    read-modify-writes.
     """
 
     def test_concurrent_puts_and_gets_keep_stats_consistent(self):
@@ -393,3 +394,50 @@ class TestThreadSafety:
         # Writes through the view land in the shared store.
         view.put("stage", "d1", 2)
         assert store.get("stage", "d1") == 2
+
+
+class TestDamagedArtifact:
+    """A damaged cache file is a recompute, never a fatal unpickle."""
+
+    def test_truncated_artifact_is_recomputed(self, tmp_path):
+        from repro.analysis.export import run_record_value_dict
+        from repro.pipeline import ExperimentPipeline
+        from repro.pipeline.runner import RunRecord
+        from repro.telemetry import get_metrics
+
+        config = SparkXDConfig.small(
+            n_train=40, n_test=25, n_neurons=12, n_steps=30,
+            baseline_epochs=1, ber_rates=(1e-5, 1e-3), accuracy_bound=0.5,
+        )
+        root = tmp_path / "cache"
+        first = ExperimentPipeline(config, store=ArtifactStore(root)).run()
+        (path,) = (root / "train-baseline").glob("*.pkl")
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+
+        corrupt = get_metrics().counter("store.corrupt")
+        before = corrupt.value
+        store = ArtifactStore(root)
+        second = ExperimentPipeline(config, store=store).run()
+
+        assert corrupt.value - before == 1
+        assert run_record_value_dict(
+            RunRecord.from_result(second)
+        ) == run_record_value_dict(RunRecord.from_result(first))
+        # Only the damaged stage recomputed; its file is whole again.
+        assert store.stats.puts == 1
+        assert ArtifactStore(root).get("train-baseline", path.stem) is not MISS
+
+    def test_garbage_file_reads_as_miss_and_is_removed(self, tmp_path):
+        from repro.telemetry import get_metrics
+
+        store = ArtifactStore(tmp_path / "cache")
+        path = tmp_path / "cache" / "stage" / "abc.pkl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"not a pickle")
+        corrupt = get_metrics().counter("store.corrupt")
+        before = corrupt.value
+        assert store.get("stage", "abc") is MISS
+        assert corrupt.value - before == 1
+        assert store.stats.misses == 1
+        assert not path.exists()

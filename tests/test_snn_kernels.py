@@ -166,20 +166,40 @@ class TestFusedBitIdentity:
             == rngs[backend].bit_generator.state
         )
 
+    def test_batch_size_one_never_enters_minibatch_kernel(self, monkeypatch):
+        """B=1 is in-place sequential STDP (``present_sample``): the
+        frozen-weight minibatch kernel is never called, whatever
+        ``kernel`` says."""
+        calls = []
+        real = DiehlCookNetwork.run_batch_stdp
+
+        def spy(self, *args, **kwargs):
+            calls.append(kwargs.get("kernel"))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiehlCookNetwork, "run_batch_stdp", spy)
+        for kernel in ["reference"] + BACKENDS:
+            BatchedTrainer(_network(), batch_size=1, kernel=kernel).train(
+                _workload(n_samples=3), n_steps=10, rng=np.random.default_rng(7)
+            )
+        assert calls == []
+        # The spy is live: a real minibatch goes through it.
+        BatchedTrainer(_network(), batch_size=2).train(
+            _workload(n_samples=2), n_steps=10, rng=np.random.default_rng(7)
+        )
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_size_one_unaffected_by_kernel(self, backend):
-        """batch_size=1 is the sequential reference under every kernel."""
-        images = _workload()
-        net_ref, net_k = _network(), _network()
-        rng_ref, rng_k = np.random.default_rng(7), np.random.default_rng(7)
-        BatchedTrainer(net_ref, batch_size=1, kernel="reference").train(
-            images, n_steps=25, rng=rng_ref
-        )
-        BatchedTrainer(net_k, batch_size=1, kernel=backend).train(
-            images, n_steps=25, rng=rng_k
-        )
-        assert np.array_equal(net_ref.weights, net_k.weights)
-        assert rng_ref.bit_generator.state == rng_k.bit_generator.state
+    def test_one_lane_run_batch_stdp_matches_reference(self, dtype, backend):
+        """A one-sample presentation through the kernel itself: the
+        fused backend equals the unfused reference bit for bit."""
+        shell, trains = _batched_setup(dtype, n_batch=1)
+        ref = _run_kernel(shell, trains, "reference", dtype)
+        got = _run_kernel(shell, trains, backend, dtype)
+        for key in ref:
+            assert np.array_equal(ref[key], got[key]), (backend, key)
+        assert got["counts"].sum() > 0  # the comparison is not vacuous
 
 
 class TestWorkspaceReuseAcrossMinibatches:
