@@ -4,13 +4,15 @@
 Measures how many training-sample presentations per second the
 sequential (``batch_size=1``), minibatch-reference
 (``kernel="reference"``) and fused (``kernel="auto"``) training
-engines sustain on two network sizes at both compute precisions.
+engines sustain on two network sizes at both compute precisions, plus
+the per-step oracle loop of ``tests/oracles.py`` that the sequential
+engine's event-driven loop replaced (``sequential_speedup_vs_oracle``).
 Timing is steady-state: each engine column reuses one trainer (so
 workspaces, minibatch machinery and the drive operator cache are warm)
 and reports its best epoch.  Two bitwise gates guard the numbers:
-``batch_size=1`` must reproduce the historical sequential loop, and
-the fused kernel must reproduce the minibatch-reference kernel —
-weight for weight, threshold for threshold.  Results go to
+``batch_size=1`` must reproduce the per-step oracle loop, and the
+fused kernel must reproduce the minibatch-reference kernel — weight
+for weight, threshold for threshold.  Results go to
 ``BENCH_training.json`` — the training half of the repo's performance
 trajectory artifacts (see ``BENCH_engine.json`` for evaluation).
 
@@ -40,6 +42,10 @@ from repro.snn.encoding import poisson_rate_code
 from repro.snn.kernels import resolve_kernel
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
 from repro.snn.stdp import normalize_columns
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+from oracles import reference_run_sample  # noqa: E402
 
 # N400 runs batch 32: the dense-step cutoff in the accumulate makes
 # larger minibatches profitable there (with the purely column-restricted
@@ -91,20 +97,35 @@ def _corrupter(network: DiehlCookNetwork, seed: int = 5):
     return corrupt
 
 
-def _reference_train(network, images, n_steps, rng, corrupt):
-    """The pre-refactor sequential loop (ground truth for the identity check)."""
-    stdp = make_stdp(network)
+def _reference_train(network, images, n_steps, rng, corrupt, stdp=None):
+    """One epoch of the pre-refactor sequential loop, on the per-step oracle.
+
+    Ground truth for the ``batch_size=1`` identity gate and the baseline
+    of ``sequential_speedup_vs_oracle``.
+    """
+    stdp = stdp or make_stdp(network)
     order = rng.permutation(len(images))
     for i in order:
         train = poisson_rate_code(images[i], n_steps, rng=rng)
         clean = network.weights
         corrupted = np.asarray(corrupt(clean), dtype=network.dtype)
         network.weights = corrupted.copy()
-        network.run_sample(train, stdp=stdp, normalize=False)
+        reference_run_sample(network, train, stdp, normalize=False)
         delta = network.weights - corrupted
         network.weights = np.clip(clean + delta, 0.0, network.w_max)
         if network.parameters.weight_norm > 0:
             normalize_columns(network.weights, network.parameters.weight_norm)
+
+
+def _best_epoch(train_epoch, repeats):
+    """Best of ``repeats`` timed epochs, after one untimed warmup epoch."""
+    train_epoch()
+    best = np.inf
+    for _ in range(repeats):
+        started = time.perf_counter()
+        train_epoch()
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
 def _time_trainer(scenario, batch_size, repeats, kernel="reference"):
@@ -124,15 +145,25 @@ def _time_trainer(scenario, batch_size, repeats, kernel="reference"):
         kernel=kernel,
     )
     rng = np.random.default_rng(99)
-    trainer.train(images, n_steps=scenario["n_steps"], epochs=1, rng=rng)
-    best = np.inf
-    for _ in range(repeats):
-        started = time.perf_counter()
-        trainer.train(
-            images, n_steps=scenario["n_steps"], epochs=1, rng=rng
-        )
-        best = min(best, time.perf_counter() - started)
-    return best
+    return _best_epoch(
+        lambda: trainer.train(images, n_steps=scenario["n_steps"], epochs=1, rng=rng),
+        repeats,
+    )
+
+
+def _time_oracle(scenario, repeats):
+    """Best steady-state epoch seconds of the per-step oracle at B=1."""
+    images = _images(scenario)
+    network = _network(scenario)
+    stdp = make_stdp(network)
+    corrupt = _corrupter(network)
+    rng = np.random.default_rng(99)
+    return _best_epoch(
+        lambda: _reference_train(
+            network, images, scenario["n_steps"], rng, corrupt, stdp
+        ),
+        repeats,
+    )
 
 
 def _trained_network(scenario, batch_size, kernel):
@@ -167,8 +198,9 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
         batch = scenario["batch_size"]
         row = dict(scenario, n_input=784, fused_kernel=fused_kernel)
 
-        # Bit-identity gates: batch_size=1 must equal the historical
-        # loop; the fused kernel must equal the minibatch reference.
+        # Bit-identity gates: batch_size=1 must equal the per-step
+        # oracle loop; the fused kernel must equal the minibatch
+        # reference.
         ref_net = _network(scenario)
         _reference_train(
             ref_net, _images(scenario), scenario["n_steps"],
@@ -182,12 +214,15 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
             _trained_network(scenario, batch, "auto"),
         )
 
+        oracle_seconds = _time_oracle(scenario, repeats)
         seq_seconds = _time_trainer(scenario, 1, repeats)
         batch_seconds = _time_trainer(scenario, batch, repeats)
         fused_seconds = _time_trainer(scenario, batch, repeats, kernel="auto")
 
+        row["oracle_seconds"] = oracle_seconds
         row["sequential_seconds"] = seq_seconds
         row["sequential_samples_per_sec"] = n_train / seq_seconds
+        row["sequential_speedup_vs_oracle"] = oracle_seconds / seq_seconds
         row["batched_seconds"] = batch_seconds
         row["batched_samples_per_sec"] = n_train / batch_seconds
         row["speedup"] = seq_seconds / batch_seconds
@@ -198,7 +233,8 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
         print(
             f"N{scenario['n_neurons']:<4} {scenario['dtype']:<8} "
             f"B={batch:<3} {n_train:>3} samples | "
-            f"sequential {row['sequential_samples_per_sec']:7.1f}/s | "
+            f"sequential {row['sequential_samples_per_sec']:7.1f}/s "
+            f"({row['sequential_speedup_vs_oracle']:4.2f}x oracle) | "
             f"batched {row['batched_samples_per_sec']:7.1f}/s "
             f"({row['speedup']:5.2f}x) | "
             f"fused[{fused_kernel}] {row['fused_samples_per_sec']:7.1f}/s "
@@ -235,7 +271,7 @@ def main(argv=None) -> int:
 
     failed = False
     if not all(r["sequential_matches_reference"] for r in payload["scenarios"]):
-        print("ERROR: batch_size=1 diverged from the reference sequential loop",
+        print("ERROR: batch_size=1 diverged from the per-step oracle loop",
               file=sys.stderr)
         failed = True
     if not all(r["fused_matches_batched"] for r in payload["scenarios"]):

@@ -1,10 +1,12 @@
 """Batched spike encoding.
 
-One vectorized Poisson draw encodes a whole chunk of images at once —
-``rng.random((B, n_steps, n_input))`` — consuming *exactly* the same
-random stream as ``B`` successive per-image
+The default Poisson encoder fills one reused ``(n_steps, n_input)``
+draw buffer per image and compares it into a preallocated boolean
+``(B, n_steps, n_input)`` output — consuming *exactly* the same random
+stream as ``B`` successive per-image
 :func:`repro.snn.encoding.poisson_rate_code` calls (``Generator.random``
-fills arrays from the bit stream in C order).  Encoded trains are
+fills arrays from the bit stream in C order) without the ``B``-fold
+float64 temporary of one whole-batch draw.  Encoded trains are
 therefore identical whether samples are encoded one at a time, per
 chunk, or all at once — the engine equivalence guarantee extends
 through the encoder.
@@ -69,8 +71,9 @@ def encode_spike_trains(
 ) -> np.ndarray:
     """Encode a batch of images into ``(B, n_steps, n_input)`` spikes.
 
-    With ``encoder=None`` the default Poisson rate code is applied in
-    one vectorized draw; a custom encoder is applied per image.  Either
+    With ``encoder=None`` the default Poisson rate code is applied
+    image by image into one reused draw buffer; a custom encoder is
+    applied per image.  Either
     way the result (and the state of ``rng``) is identical to calling
     the encoder on each image in order.
     """
@@ -82,4 +85,12 @@ def encode_spike_trains(
     if encoder is not None and encoder is not poisson_rate_code:
         return np.stack([encoder(image, n_steps, rng) for image in images])
     p = np.clip(images * max_rate_hz * dt_ms * 1e-3, 0.0, 1.0)
-    return rng.random((images.shape[0], n_steps, images.shape[1])) < p[:, None, :]
+    # One reused (n_steps, n_input) draw buffer per sample instead of a
+    # (B, n_steps, n_input) float64 temporary: the generator fills each
+    # buffer in C order, so the stream (and every spike) is unchanged.
+    trains = np.empty((images.shape[0], n_steps, images.shape[1]), dtype=bool)
+    draws = np.empty((n_steps, images.shape[1]), dtype=np.float64)
+    for b in range(images.shape[0]):
+        rng.random(out=draws)
+        np.less(draws, p[b], out=trains[b])
+    return trains

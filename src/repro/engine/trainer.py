@@ -32,10 +32,10 @@ one vectorized pass —
 Exactness contract
 ------------------
 ``batch_size=1`` runs the reference sequential presentation — the same
-``run_sample`` + in-place STDP + post-sample update ufunc sequence and
-the same RNG stream as the historical ``train_unsupervised`` loop — and
-is therefore **bit-identical** to it (covered by
-``tests/test_engine_trainer.py``).
+in-place STDP arithmetic (``run_sample``'s event-driven loop,
+bit-identical to the per-step loop), post-sample update and RNG stream
+as the historical ``train_unsupervised`` loop — and is therefore
+**bit-identical** to it (covered by ``tests/test_engine_trainer.py``).
 
 ``batch_size>1`` is a *documented approximation*, not an equivalent
 reordering: within a minibatch, samples no longer see each other's

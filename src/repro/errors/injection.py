@@ -167,12 +167,25 @@ class ErrorInjector:
         words = rep.encode(weights)
         words_flat = np.ravel(words)
 
+        # Occupied regions in ascending order, each with its members in
+        # ascending weight order — the order the flips are drawn in.  A
+        # stable sort groups them in one pass (numpy 2's hash-based
+        # np.unique cost more than the rest of an injection), and a
+        # single region is just every weight.
+        sizes = np.bincount(region_of_weight, minlength=region_rates.size)
+        regions = np.flatnonzero(sizes)
+        if regions.size == 1:
+            grouped = np.arange(n_weights, dtype=np.int64)
+        else:
+            grouped = np.argsort(region_of_weight, kind="stable")
+        bounds = np.cumsum(sizes[regions])
+
         all_flips: list[np.ndarray] = []
         per_region: Dict[int, int] = {}
         mean_rate = 0.0
-        for region in np.unique(region_of_weight):
+        for region, end in zip(regions, bounds):
             rate = float(region_rates[region])
-            members = np.flatnonzero(region_of_weight == region)
+            members = grouped[end - sizes[region] : end]
             n_bits = members.size * bpw
             mean_rate += rate * n_bits
             context = self._context_for(words_flat, members, bpw, rate)

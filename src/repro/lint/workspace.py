@@ -1,7 +1,8 @@
 """workspace-discipline: fused loops must not allocate per step.
 
 The fused training kernels (:mod:`repro.snn.kernels`,
-``DiehlCookNetwork._run_batch_stdp_fused`` / ``_run_batch_frozen``)
+``DiehlCookNetwork._run_batch_stdp_fused`` / ``_run_sample_fused`` /
+``_run_batch_frozen``)
 exist to run the per-timestep simulation loop allocation-free: every
 intermediate lives in a preallocated
 :class:`~repro.snn.kernels.FusedWorkspace` (or equivalent local

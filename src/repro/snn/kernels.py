@@ -15,6 +15,11 @@ temporary arrays per step; this module provides the same arithmetic as
 - an optional **numba** kernel: one jitted elementwise pass over the
   same state arrays, compiled lazily per dtype.
 
+The numpy step is split in two halves (:func:`numpy_membrane_step`,
+:func:`numpy_fire_step`) plus the trace step, so the paper-exact
+``batch_size=1`` loop (``DiehlCookNetwork._run_sample_fused``) runs the
+same arithmetic on one-lane views, with exact shortcuts for quiet steps.
+
 Both kernels are **bit-identical** to the reference step (and therefore
 to each other).  For numpy that holds because every ufunc call below
 has the same operands, operand order and output dtype as the reference
@@ -215,6 +220,110 @@ class FusedConstants:
         )
 
 
+def numpy_membrane_step(
+    c: FusedConstants,
+    ws: FusedWorkspace,
+    drive: np.ndarray,
+    g_e: np.ndarray,
+    g_i: np.ndarray,
+    v: np.ndarray,
+    refr: np.ndarray,
+    theta: np.ndarray,
+    last: np.ndarray,
+    spikes: np.ndarray,
+    inhibit: bool = True,
+    refractory: bool = True,
+) -> None:
+    """First half of a fused step: conductances, membrane, threshold.
+
+    Writes the step's spike mask into ``spikes``.  The two flags are
+    exact shortcuts for quiet steps, never approximations:
+
+    - ``inhibit=False`` when ``last`` holds no spike: the lateral
+      inhibition term is then exactly ``+0.0`` everywhere, and adding
+      ``+0.0`` to ``g_i`` (which is never ``-0.0``: it starts at
+      ``+0.0``, decays by a positive factor and only ever gains
+      non-negative terms) leaves every bit unchanged;
+    - ``refractory=False`` when no element of ``refr`` is positive:
+      ``active`` is then all-True, so the masked write is a plain write
+      and the ``spikes &= active`` mask is a no-op.
+    """
+    g_e *= c.decay_e
+    g_e += drive
+    g_i *= c.decay_i
+    if inhibit:
+        # Lateral inhibition: row totals in int64/float64 exactly as the
+        # reference `last.sum(axis=-1, keepdims=True) * inhibition` chain.
+        np.sum(last, axis=-1, keepdims=True, out=ws.row_count)
+        np.multiply(ws.row_count, c.inhibition, out=ws.row_inh)
+        np.multiply(last, c.inhibition, out=ws.s1)
+        np.subtract(ws.row_inh, ws.s1, out=ws.s1)
+        g_i += ws.s1
+    np.subtract(c.v_rest, v, out=ws.s1)
+    np.subtract(c.e_excitatory, v, out=ws.s2)
+    ws.s2 *= g_e
+    ws.s1 += ws.s2
+    np.subtract(c.e_inhibitory, v, out=ws.s2)
+    ws.s2 *= g_i
+    ws.s1 += ws.s2
+    ws.s1 *= c.k
+    np.add(c.v_threshold, theta, out=ws.thr)
+    if refractory:
+        np.less_equal(refr, 0.0, out=ws.active)
+        # Masked write, not `v += dv * active`: a non-finite dv
+        # (float32 overflow from unclipped corrupted weights) must
+        # leave refractory neurons untouched exactly as the reference
+        # np.where does.
+        ws.s1 += v
+        np.copyto(v, ws.s1, where=ws.active)
+        np.greater_equal(v, ws.thr, out=spikes)
+        spikes &= ws.active
+    else:
+        # `s1 += v` (same operands, same order) written straight into v.
+        np.add(ws.s1, v, out=v)
+        np.greater_equal(v, ws.thr, out=spikes)
+
+
+def numpy_fire_step(
+    c: FusedConstants,
+    v: np.ndarray,
+    refr: np.ndarray,
+    theta: np.ndarray,
+    spikes: np.ndarray,
+    refractory: bool = True,
+    fired: bool = True,
+    adapt: bool = True,
+) -> None:
+    """Second half of a fused step: resets, refractory clocks, theta.
+
+    ``refractory=False`` (no element of ``refr`` positive before the
+    step) skips the clock decrement, which would map every ``+0.0`` to
+    ``max(-dt, 0.0) = +0.0``; ``fired=False`` (``spikes`` all-False)
+    skips the masked writes, which would select nothing; ``adapt=False``
+    freezes the thresholds.
+    """
+    # Masked scalar writes: same elements, same values as the
+    # boolean-indexed assignments of the reference step, minus the
+    # index-array extraction those perform.
+    if fired:
+        np.copyto(v, c.v_reset, where=spikes)
+    if refractory:
+        refr -= c.dt_ms
+        np.maximum(refr, 0.0, out=refr)
+    if fired:
+        np.copyto(refr, c.refractory_ms, where=spikes)
+    if adapt:
+        theta *= c.theta_decay
+        if fired:
+            np.add(theta, c.theta_plus, out=theta, where=spikes)
+
+
+def numpy_trace_step(c: FusedConstants, x_pre: np.ndarray, pre: np.ndarray) -> None:
+    """Presynaptic STDP traces: decay, then jump to one where ``pre`` fired."""
+    x_pre *= c.trace_decay
+    np.copyto(x_pre, c.one, where=pre)
+
+
 def numpy_state_step(
     c: FusedConstants,
     ws: FusedWorkspace,
@@ -238,44 +347,9 @@ def numpy_state_step(
     spikes; ``spikes`` receives the postsynaptic result (the caller
     swaps ``last``/``spikes`` afterwards, like the inference loop).
     """
-    g_e *= c.decay_e
-    g_e += drive
-    # Lateral inhibition: row totals in int64/float64 exactly as the
-    # reference `last.sum(axis=-1, keepdims=True) * inhibition` chain.
-    np.sum(last, axis=-1, keepdims=True, out=ws.row_count)
-    np.multiply(ws.row_count, c.inhibition, out=ws.row_inh)
-    np.multiply(last, c.inhibition, out=ws.s1)
-    np.subtract(ws.row_inh, ws.s1, out=ws.s1)
-    g_i *= c.decay_i
-    g_i += ws.s1
-    np.less_equal(refr, 0.0, out=ws.active)
-    np.subtract(c.v_rest, v, out=ws.s1)
-    np.subtract(c.e_excitatory, v, out=ws.s2)
-    ws.s2 *= g_e
-    ws.s1 += ws.s2
-    np.subtract(c.e_inhibitory, v, out=ws.s2)
-    ws.s2 *= g_i
-    ws.s1 += ws.s2
-    ws.s1 *= c.k
-    # Masked write, not `v += dv * active`: a non-finite dv (float32
-    # overflow from unclipped corrupted weights) must leave refractory
-    # neurons untouched exactly as the reference np.where does.
-    ws.s1 += v
-    np.copyto(v, ws.s1, where=ws.active)
-    np.add(c.v_threshold, theta, out=ws.thr)
-    np.greater_equal(v, ws.thr, out=spikes)
-    spikes &= ws.active
-    # Masked scalar writes: same elements, same values as the
-    # boolean-indexed assignments of the reference step, minus the
-    # index-array extraction those perform.
-    np.copyto(v, c.v_reset, where=spikes)
-    refr -= c.dt_ms
-    np.maximum(refr, 0.0, out=refr)
-    np.copyto(refr, c.refractory_ms, where=spikes)
-    theta *= c.theta_decay
-    np.add(theta, c.theta_plus, out=theta, where=spikes)
-    x_pre *= c.trace_decay
-    np.copyto(x_pre, c.one, where=ws.pre)
+    numpy_membrane_step(c, ws, drive, g_e, g_i, v, refr, theta, last, spikes)
+    numpy_fire_step(c, v, refr, theta, spikes)
+    numpy_trace_step(c, x_pre, ws.pre)
     counts += spikes
 
 
@@ -404,6 +478,9 @@ __all__ = [
     "KERNEL_CHOICES",
     "default_kernel",
     "numba_state_step",
+    "numpy_fire_step",
+    "numpy_membrane_step",
     "numpy_state_step",
+    "numpy_trace_step",
     "resolve_kernel",
 ]

@@ -47,7 +47,10 @@ from repro.snn.kernels import (
     FusedConstants,
     FusedWorkspace,
     numba_state_step,
+    numpy_fire_step,
+    numpy_membrane_step,
     numpy_state_step,
+    numpy_trace_step,
     resolve_kernel,
 )
 from repro.snn.neurons import AdaptiveLIFLayer, LIFParameters
@@ -205,6 +208,32 @@ def _delta_drive_rows(
     for t in touched:
         rows[t] = step_drive(weights, matrix[t])
     return rows
+
+
+def _patch_drive_columns(
+    matrix,
+    weights: np.ndarray,
+    drives: np.ndarray,
+    start: int,
+    columns: np.ndarray,
+    gain: float,
+) -> None:
+    """Recompute gain-scaled drive rows ``start:`` of ``columns`` in place.
+
+    Exact against a full recomputation: CSR accumulates every output
+    column independently, over the row's active inputs in ascending
+    order, so a column subset reproduces those columns bit for bit.
+    The numpy fallback's index-sum would reduce a single gathered
+    column pairwise (the contiguous-axis summation) instead of row by
+    row, so it recomputes full-width rows and keeps the wanted columns.
+    """
+    if _sparse is not None and _sparse.issparse(matrix):
+        # The product over every row costs less than scipy's row slicing.
+        rows = (matrix @ weights[:, columns])[start:]
+    else:
+        rows = _drive_rows(matrix[start:], weights)[:, columns]
+    rows *= gain
+    drives[start:, columns] = rows
 
 
 class DiehlCookNetwork:
@@ -400,6 +429,11 @@ class DiehlCookNetwork:
         it to the stored clean tensor instead of the corrupted copy).
         Only available on an unbatched network; use :meth:`run_batch`
         for batched evaluation.
+
+        Training runs the event-driven loop of
+        :meth:`_run_sample_fused`, bit-identical to stepping
+        :meth:`step` and :meth:`STDPRule.step
+        <repro.snn.stdp.STDPRule.step>` once per timestep.
         """
         p = self.parameters
         if self.batch_shape != ():
@@ -412,6 +446,11 @@ class DiehlCookNetwork:
             raise ValueError(
                 f"spike train must have shape (n_steps, {p.n_input}), got {train.shape}"
             )
+        if stdp is not None and stdp.state_shape != (p.n_input,):
+            raise ValueError(
+                f"stdp rule must be unbatched over {p.n_input} inputs, "
+                f"got trace shape {stdp.state_shape}"
+            )
         if adapt is None:
             adapt = stdp is not None
         self.reset_state(keep_theta=True)
@@ -419,14 +458,84 @@ class DiehlCookNetwork:
             stdp.reset_state()
         if normalize is None:
             normalize = stdp is not None and p.weight_norm > 0
-        counts = np.zeros(p.n_neurons, dtype=np.int64)
-        for t in range(train.shape[0]):
-            spikes = self.step(train[t], adapt=adapt)
-            if stdp is not None:
-                stdp.step(self.weights, train[t], spikes)
-            counts += spikes
+        if stdp is not None:
+            counts = self._run_sample_fused(train, stdp, adapt)
+        else:
+            counts = np.zeros(p.n_neurons, dtype=np.int64)
+            for t in range(train.shape[0]):
+                counts += self.step(train[t], adapt=adapt)
         if normalize and p.weight_norm > 0:
             normalize_columns(self.weights, p.weight_norm)
+        return counts
+
+    def _run_sample_fused(
+        self, train: np.ndarray, stdp: STDPRule, adapt: bool
+    ) -> np.ndarray:
+        """The paper-exact training loop: event-driven and allocation-free.
+
+        Bit-identical to one :meth:`step` + :meth:`STDPRule.step
+        <repro.snn.stdp.STDPRule.step>` per timestep (the per-step loop
+        kept as the oracle in ``tests/oracles.py``), but:
+
+        - every drive row of the sample comes from one CSR product up
+          front; when STDP moves the columns ``post`` at step ``t``,
+          rows ``t+1:`` of those columns alone are recomputed
+          (:func:`_patch_drive_columns`) — exact, because the product
+          accumulates each output column on its own, in ascending input
+          order;
+        - the state advances in one-lane views of the network state
+          through the fused kernels' ufunc sequence
+          (:func:`~repro.snn.kernels.numpy_membrane_step`,
+          :func:`~repro.snn.kernels.numpy_fire_step`), skipping lateral
+          inhibition after a silent step and the refractory masks while
+          ``refractory_left`` is all zero — both exact no-ops there;
+        - plasticity runs only on spike events, with the in-place column
+          expression of the scalar rule
+          (:meth:`~repro.snn.stdp.STDPRule.update_columns`).
+        """
+        p = self.parameters
+        n_steps = train.shape[0]
+        matrix = _drive_matrix(train, self.dtype)
+        drives = _drive_rows(matrix, self.weights)
+        drives *= p.excitation_gain
+        ws = FusedWorkspace(1, p.n_neurons, p.n_input, self.dtype)
+        consts = FusedConstants.for_loop(self, stdp)
+        # One-lane views: the kernels write straight into network state.
+        g_e, g_i = self.g_excitatory.g[None], self.g_inhibitory.g[None]
+        v, refr = self.neurons.v[None], self.neurons.refractory_left[None]
+        theta, x_pre = self.neurons.theta[None], stdp.x_pre
+        counts = np.zeros(p.n_neurons, dtype=np.int64)
+        last, spikes = ws.last, ws.spikes
+        np.copyto(last[0], self._last_spikes)
+        inhibit = bool(np.count_nonzero(last))
+        refractory = bool(np.count_nonzero(refr))
+        for t in range(n_steps):
+            numpy_membrane_step(
+                consts, ws, drives[t], g_e, g_i, v, refr, theta, last, spikes,
+                inhibit=inhibit, refractory=refractory,
+            )
+            fired = bool(np.count_nonzero(spikes))
+            numpy_fire_step(
+                consts, v, refr, theta, spikes,
+                refractory=refractory, fired=fired, adapt=adapt,
+            )
+            numpy_trace_step(consts, x_pre, train[t])
+            if fired:
+                counts += spikes[0]
+                # Spike events allocate (index array, column gathers,
+                # drive patch); quiet steps do not.
+                post = np.flatnonzero(spikes)  # lint: disable=workspace-discipline
+                stdp.update_columns(self.weights, post)
+                if t + 1 < n_steps:
+                    _patch_drive_columns(
+                        matrix, self.weights, drives, t + 1, post,
+                        p.excitation_gain,
+                    )
+            if fired or refractory:
+                refractory = bool(np.count_nonzero(refr))
+            inhibit = fired
+            last, spikes = spikes, last
+        self._last_spikes = last[0].copy()
         return counts
 
     def run_batch(

@@ -142,11 +142,7 @@ class STDPRule:
                 )
             post = np.flatnonzero(post_spikes)
             if post.size:
-                columns = weights[:, post]
-                delta = self.x_pre[:, None] - p.trace_offset
-                bound = (p.w_max - columns) ** p.mu
-                updated = columns + p.learning_rate * delta * bound
-                weights[:, post] = np.clip(updated, 0.0, p.w_max)
+                self.update_columns(weights, post)
             return weights
 
         expected = self.batch_shape + (self.n_pre, weights.shape[-1])
@@ -169,6 +165,22 @@ class STDPRule:
             )
             np.copyto(weights, updated, where=post[..., None, :])
         return weights
+
+    def update_columns(self, weights: np.ndarray, post: np.ndarray) -> None:
+        """The in-place update of the scalar rule, for spiking columns ``post``.
+
+        Moves (and clips) the incoming weights of every neuron in
+        ``post`` (an index array) against the current traces.  Shared by
+        :meth:`step` and the event-driven training loop of
+        :meth:`repro.snn.network.DiehlCookNetwork.run_sample`, so both
+        evaluate one expression in one operation order.
+        """
+        p = self.parameters
+        columns = weights[:, post]
+        delta = self.x_pre[:, None] - p.trace_offset
+        bound = (p.w_max - columns) ** p.mu
+        updated = columns + p.learning_rate * delta * bound
+        weights[:, post] = np.clip(updated, 0.0, p.w_max)
 
     # ------------------------------------------------------------------
     # Minibatch (accumulate) mode — see repro.engine.trainer.

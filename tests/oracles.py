@@ -1,5 +1,12 @@
 """Reference implementations kept only to prove the production code exact.
 
+``reference_run_sample`` is the per-timestep training loop that the
+event-driven :meth:`repro.snn.network.DiehlCookNetwork.run_sample`
+replaced: one :meth:`DiehlCookNetwork.step` and one in-place
+:meth:`STDPRule.step` per timestep.  The new loop must leave weights,
+thresholds, membrane and conductance state, traces and spike counts
+bitwise equal to it.
+
 ``ScalarRowBufferSimulator`` is the per-access open-page row-buffer
 simulator that :class:`repro.dram.row_buffer.RowBufferSimulator`
 replaced.  It walks a trace of :class:`DramCoordinate` objects one access
@@ -12,10 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.dram.commands import AccessCondition, CommandKind
 from repro.dram.organization import DramCoordinate, DramOrganization
 from repro.dram.row_buffer import TraceStatistics
 from repro.dram.timing import TimingParameters
+from repro.snn.stdp import normalize_columns
 
 BankKey = Tuple[int, int, int, int]
 RowKey = Tuple[int, int, int, int, int, int]
@@ -182,3 +192,32 @@ def scalar_statistics(
     """Oracle statistics of a flat slot trace."""
     simulator = ScalarRowBufferSimulator(organization, timing, open_ahead=open_ahead)
     return simulator.run([organization.coordinate_of(int(s)) for s in slots], write=write)
+
+
+def reference_run_sample(
+    network,
+    spike_train,
+    stdp,
+    adapt: bool = True,
+    normalize: Optional[bool] = None,
+) -> np.ndarray:
+    """Oracle of ``network.run_sample(spike_train, stdp=stdp, ...)``.
+
+    The per-step loop: the sparse per-step index-sum drive, the unfused
+    neuron and conductance updates, and the scalar in-place STDP rule,
+    once per timestep.
+    """
+    p = network.parameters
+    train = np.asarray(spike_train, dtype=bool)
+    network.reset_state(keep_theta=True)
+    stdp.reset_state()
+    if normalize is None:
+        normalize = p.weight_norm > 0
+    counts = np.zeros(p.n_neurons, dtype=np.int64)
+    for t in range(train.shape[0]):
+        spikes = network.step(train[t], adapt=adapt)
+        stdp.step(network.weights, train[t], spikes)
+        counts += spikes
+    if normalize and p.weight_norm > 0:
+        normalize_columns(network.weights, p.weight_norm)
+    return counts

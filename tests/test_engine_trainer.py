@@ -12,6 +12,7 @@ weights stay physical, random stream unchanged), not bit-equality.
 import numpy as np
 import pytest
 
+from oracles import reference_run_sample
 from repro.engine.trainer import BatchedTrainer
 from repro.snn.encoding import poisson_rate_code
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
@@ -40,7 +41,9 @@ def reference_sequential_train(
     This is the ground truth the ``batch_size=1`` engine must match bit
     for bit (the historical code cast the corrupted read to float64;
     at a float64 network — the only dtype it supported — casting to
-    ``network.dtype`` is the identical operation).
+    ``network.dtype`` is the identical operation).  Each presentation
+    runs the per-step oracle loop, not ``run_sample``, so the engine's
+    event-driven loop is compared with an independent implementation.
     """
     stdp = make_stdp(network)
     for _epoch in range(epochs):
@@ -51,7 +54,7 @@ def reference_sequential_train(
                 clean = network.weights
                 corrupted = np.asarray(corrupt_weights(clean), dtype=network.dtype)
                 network.weights = corrupted.copy()
-                network.run_sample(train, stdp=stdp, normalize=False)
+                reference_run_sample(network, train, stdp, normalize=False)
                 delta = network.weights - corrupted
                 network.weights = np.clip(clean + delta, 0.0, network.w_max)
                 if network.parameters.weight_norm > 0:
@@ -59,7 +62,7 @@ def reference_sequential_train(
                         network.weights, network.parameters.weight_norm
                     )
             else:
-                network.run_sample(train, stdp=stdp)
+                reference_run_sample(network, train, stdp)
 
 
 def _gaussian_corrupter(seed):

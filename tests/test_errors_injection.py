@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors.injection import ErrorInjector
-from repro.errors.models import ErrorModel3, make_error_model
+from repro.errors.models import BitContext, ErrorModel3, make_error_model
 from repro.snn.quantization import FixedPointRepresentation, Float32Representation
 
 
@@ -92,6 +92,28 @@ class TestRegionInjection:
         assert not np.array_equal(out.ravel()[second_half], weights[second_half])
         assert report.per_region_flips[0] == 0
         assert report.per_region_flips[1] > 0
+
+    def test_interleaved_regions_match_per_region_draws(self, rng):
+        """Occupied regions in ascending order, members in ascending weight
+        order, one draw each: the flips and stream of a per-region loop."""
+        weights = rng.random(3000).astype(np.float32)
+        regions = rng.choice([0, 2, 3], size=weights.size)  # region 1 unused
+        rates = np.array([0.01, 0.5, 0.02, 0.005])
+        rep = Float32Representation(sanitize=False)
+        injector = ErrorInjector(rep, seed=0)
+        stream = np.random.default_rng(4)
+        out, report = injector.inject_by_region(weights, regions, rates, rng=stream)
+        draws = np.random.default_rng(4)
+        flips = []
+        for region in (0, 2, 3):
+            members = np.flatnonzero(regions == region)
+            context = BitContext(n_bits=members.size * 32, base_rate=rates[region])
+            local = injector.model.sample_flips(context, draws)
+            flips.append(members[local // 32] * 32 + local % 32)
+        words = rep.flip_bits(rep.encode(weights).ravel(), np.concatenate(flips))
+        assert np.array_equal(out, rep.decode(words), equal_nan=True)
+        assert list(report.per_region_flips) == [0, 2, 3]
+        assert stream.bit_generator.state == draws.bit_generator.state
 
     def test_region_index_validation(self, rng):
         weights = rng.random(10).astype(np.float32)
