@@ -2,8 +2,10 @@
 """Engine throughput benchmark: sequential vs batched samples/sec.
 
 Measures how many (sample x error-realization) evaluations per second
-each engine sustains on two network sizes, double-checks that both
-engines produced identical spike counts, and writes the results to
+the batched evaluator and the per-sample loop it replaced (the oracle
+``reference_spike_counts`` of ``tests/oracles.py``, the "sequential"
+column) sustain on two network sizes, double-checks that both produced
+identical spike counts, and writes the results to
 ``BENCH_engine.json`` — the repo's performance trajectory artifact.
 
 Also guards the telemetry contract: the batched evaluator path is
@@ -36,6 +38,10 @@ from repro.engine import BatchedEvaluator
 from repro.errors.injection import ErrorInjector
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.quantization import Float32Representation
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+from oracles import reference_spike_counts  # noqa: E402
 
 FULL_SCENARIOS = (
     {"n_neurons": 100, "n_samples": 40, "n_realizations": 4, "n_steps": 100,
@@ -75,13 +81,13 @@ def _time_engine(network, stack, images, n_steps, engine, dtype, repeats):
     best = np.inf
     counts = None
     for _ in range(repeats):
-        evaluator = BatchedEvaluator.for_network(
-            network, engine=engine, dtype=np.dtype(dtype)
+        evaluator = BatchedEvaluator.for_network(network, dtype=np.dtype(dtype))
+        count = (
+            evaluator.spike_counts if engine == "batched"
+            else lambda *args: reference_spike_counts(evaluator, *args)
         )
         started = time.perf_counter()
-        counts = evaluator.spike_counts(
-            images, n_steps, np.random.default_rng(99), weights=stack
-        )
+        counts = count(images, n_steps, np.random.default_rng(99), stack)
         best = min(best, time.perf_counter() - started)
     return best, counts
 
@@ -145,7 +151,7 @@ def measure_telemetry_overhead(quick: bool, pairs: int = 5) -> dict:
 
     def once() -> float:
         evaluator = BatchedEvaluator.for_network(
-            network, engine="batched", dtype=np.dtype(scenario["dtype"])
+            network, dtype=np.dtype(scenario["dtype"])
         )
         started = time.perf_counter()
         evaluator.spike_counts(
@@ -165,7 +171,7 @@ def measure_telemetry_overhead(quick: bool, pairs: int = 5) -> dict:
         shutdown_tracing()
     overhead_pct = (on_best / off_best - 1.0) * 100.0
     return {
-        "path": "BatchedEvaluator.spike_counts (batched engine)",
+        "path": "BatchedEvaluator.spike_counts",
         "pairs": pairs,
         "off_s": off_best,
         "on_s": on_best,
@@ -201,7 +207,8 @@ def main(argv=None) -> int:
     print(f"results written to {out}")
 
     if not all(row["identical_counts"] for row in payload["scenarios"]):
-        print("ERROR: engines disagreed on spike counts", file=sys.stderr)
+        print("ERROR: the batched evaluator disagreed with the per-sample "
+              "oracle on spike counts", file=sys.stderr)
         return 1
     if not overhead["ok"]:
         print(

@@ -2,11 +2,13 @@
 """Training throughput benchmark: sequential vs minibatch vs fused STDP.
 
 Measures how many training-sample presentations per second the
-sequential (``batch_size=1``), minibatch-reference
-(``kernel="reference"``) and fused (``kernel="auto"``) training
-engines sustain on two network sizes at both compute precisions, plus
-the per-step oracle loop of ``tests/oracles.py`` that the sequential
-engine's event-driven loop replaced (``sequential_speedup_vs_oracle``).
+sequential (``batch_size=1``), minibatch-reference (the unfused
+``reference_run_batch_stdp`` loop of ``tests/oracles.py``, the
+"batched" column) and fused (the platform's numba or numpy kernel)
+training engines sustain on two network sizes at both compute
+precisions, plus the per-step oracle loop of ``tests/oracles.py`` that
+the sequential engine's event-driven loop replaced
+(``sequential_speedup_vs_oracle``).
 Timing is steady-state: each engine column reuses one trainer (so
 workspaces, minibatch machinery and the drive operator cache are warm)
 and reports its best epoch.  Two bitwise gates guard the numbers:
@@ -29,6 +31,7 @@ per presentation, deltas credited back to the stored clean tensor.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import sys
@@ -39,13 +42,13 @@ import numpy as np
 
 from repro.engine.trainer import BatchedTrainer
 from repro.snn.encoding import poisson_rate_code
-from repro.snn.kernels import resolve_kernel
+from repro.snn.kernels import HAVE_NUMBA
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
 from repro.snn.stdp import normalize_columns
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
-from oracles import reference_run_sample  # noqa: E402
+from oracles import minibatch_oracle, reference_run_sample  # noqa: E402
 
 # N400 runs batch 32: the dense-step cutoff in the accumulate makes
 # larger minibatches profitable there (with the purely column-restricted
@@ -128,7 +131,12 @@ def _best_epoch(train_epoch, repeats):
     return best
 
 
-def _time_trainer(scenario, batch_size, repeats, kernel="reference"):
+def _kernel(oracle):
+    """Minibatches run on the fused kernel, or on the oracle loop."""
+    return minibatch_oracle() if oracle else contextlib.nullcontext()
+
+
+def _time_trainer(scenario, batch_size, repeats, oracle=False):
     """Best steady-state epoch seconds of one engine configuration.
 
     One trainer serves warmup + all timed epochs, the way the training
@@ -139,16 +147,16 @@ def _time_trainer(scenario, batch_size, repeats, kernel="reference"):
     images = _images(scenario)
     network = _network(scenario)
     trainer = BatchedTrainer(
-        network,
-        batch_size=batch_size,
-        corrupt_weights=_corrupter(network),
-        kernel=kernel,
+        network, batch_size=batch_size, corrupt_weights=_corrupter(network)
     )
     rng = np.random.default_rng(99)
-    return _best_epoch(
-        lambda: trainer.train(images, n_steps=scenario["n_steps"], epochs=1, rng=rng),
-        repeats,
-    )
+    with _kernel(oracle):
+        return _best_epoch(
+            lambda: trainer.train(
+                images, n_steps=scenario["n_steps"], epochs=1, rng=rng
+            ),
+            repeats,
+        )
 
 
 def _time_oracle(scenario, repeats):
@@ -166,19 +174,17 @@ def _time_oracle(scenario, repeats):
     )
 
 
-def _trained_network(scenario, batch_size, kernel):
+def _trained_network(scenario, batch_size, oracle=False):
     """One fresh-trainer epoch at a fixed seed (for the identity gates)."""
     network = _network(scenario)
     trainer = BatchedTrainer(
-        network,
-        batch_size=batch_size,
-        corrupt_weights=_corrupter(network),
-        kernel=kernel,
+        network, batch_size=batch_size, corrupt_weights=_corrupter(network)
     )
-    trainer.train(
-        _images(scenario), n_steps=scenario["n_steps"], epochs=1,
-        rng=np.random.default_rng(99),
-    )
+    with _kernel(oracle):
+        trainer.train(
+            _images(scenario), n_steps=scenario["n_steps"], epochs=1,
+            rng=np.random.default_rng(99),
+        )
     return network
 
 
@@ -191,7 +197,7 @@ def _same_state(a, b) -> bool:
 
 def run_benchmark(quick: bool, repeats: int) -> dict:
     scenarios = QUICK_SCENARIOS if quick else FULL_SCENARIOS
-    fused_kernel = resolve_kernel("auto")
+    fused_kernel = "numba" if HAVE_NUMBA else "numpy"
     results = []
     for scenario in scenarios:
         n_train = scenario["n_train"]
@@ -207,17 +213,17 @@ def run_benchmark(quick: bool, repeats: int) -> dict:
             np.random.default_rng(99), _corrupter(ref_net),
         )
         row["sequential_matches_reference"] = _same_state(
-            ref_net, _trained_network(scenario, 1, "reference")
+            ref_net, _trained_network(scenario, 1)
         )
         row["fused_matches_batched"] = _same_state(
-            _trained_network(scenario, batch, "reference"),
-            _trained_network(scenario, batch, "auto"),
+            _trained_network(scenario, batch, oracle=True),
+            _trained_network(scenario, batch),
         )
 
         oracle_seconds = _time_oracle(scenario, repeats)
         seq_seconds = _time_trainer(scenario, 1, repeats)
-        batch_seconds = _time_trainer(scenario, batch, repeats)
-        fused_seconds = _time_trainer(scenario, batch, repeats, kernel="auto")
+        batch_seconds = _time_trainer(scenario, batch, repeats, oracle=True)
+        fused_seconds = _time_trainer(scenario, batch, repeats)
 
         row["oracle_seconds"] = oracle_seconds
         row["sequential_seconds"] = seq_seconds

@@ -20,8 +20,8 @@ depends on:
   a parallel grid-sweep runner,
 - a batched vectorized evaluation engine (:mod:`repro.engine`):
   one simulation pass scores a whole evaluation set under a stack of
-  corrupted-weight realizations, bit-identical to the sequential
-  per-sample loop (see ``docs/engine.md``),
+  corrupted-weight realizations, bit-identical to the per-sample loop
+  the tests keep as an oracle (see ``docs/engine.md``),
 - and a distributed sweep service (:mod:`repro.cluster`): a
   coordinator/worker fleet over a stdlib line protocol with
   fingerprint-deduplicated jobs, lease-based fault tolerance and

@@ -95,10 +95,6 @@ def _add_run_parser(subparsers) -> None:
     p.add_argument("--error-model", default="model0", metavar="NAME",
                    help="DRAM error model injected during training "
                         "(see 'stages' for choices)")
-    p.add_argument("--engine", choices=("batched", "sequential"),
-                   default="batched",
-                   help="simulation engine (results are identical; "
-                        "batched is the fast path)")
     p.add_argument("--train-batch-size", type=int, default=1, metavar="B",
                    help="samples per STDP presentation (1 = bit-exact "
                         "sequential reference; >1 = vectorized minibatch "
@@ -135,9 +131,6 @@ def _add_grid_arguments(p) -> None:
     p.add_argument("--error-models", nargs="+", default=None, metavar="NAME",
                    help="error-model axis (training-side: each model "
                         "retrains, see 'stages' for choices)")
-    p.add_argument("--engine", choices=("batched", "sequential"),
-                   default="batched",
-                   help="simulation engine for every grid point")
     p.add_argument("--train-batch-size", type=int, nargs="+", default=None,
                    metavar="B", dest="train_batch_sizes",
                    help="train-batch-size axis (training-side: each size "
@@ -553,22 +546,37 @@ def _base_config(args):
     return SparkXDConfig.small(**overrides)
 
 
+def _open_store(cache_dir):
+    """The ``--cache-dir`` artifact store, in memory without one.
+
+    A path that cannot hold a store (a file, or under one) fails here
+    with a one-line message instead of a traceback.
+    """
+    from repro.pipeline import ArtifactStore
+
+    try:
+        return ArtifactStore(cache_dir or None)
+    except OSError as error:
+        raise ValueError(
+            f"--cache-dir {cache_dir!r} is unusable: {error.strerror or error}"
+        ) from error
+
+
 def _cmd_run(args) -> int:
-    from repro.pipeline import ArtifactStore, ExperimentPipeline
+    from repro.pipeline import ExperimentPipeline
     from repro.pipeline.runner import RunRecord
 
     config = _base_config(args).with_overrides(
         representation=args.representation,
         mapping_policy=args.mapping,
         error_model=args.error_model,
-        engine=args.engine,
         train_batch_size=args.train_batch_size,
         compute_dtype=args.compute_dtype,
         stage_encoding=args.stage_encoding,
     )
     if args.voltages:
         config = config.with_overrides(voltages=tuple(args.voltages))
-    store = ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
+    store = _open_store(args.cache_dir)
     pipeline = ExperimentPipeline(config, store=store)
     result = pipeline.run()
     if args.json:
@@ -656,11 +664,11 @@ def _emit_records(args, records, title: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.pipeline import ArtifactStore, Runner
+    from repro.pipeline import Runner
 
-    base = _base_config(args).with_overrides(engine=args.engine)
+    base = _base_config(args)
     grid = _grid_from_args(args, base)
-    store = ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
+    store = _open_store(args.cache_dir)
     runner = Runner(
         base,
         store=store,
@@ -793,14 +801,10 @@ def _sweep_status_lines(status: dict) -> list:
 
 
 def _cmd_cluster(args) -> int:
-    from repro.pipeline import ArtifactStore
-
     if args.cluster_command == "worker":
         from repro.cluster import WorkerAgent
 
-        store = (
-            ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
-        )
+        store = _open_store(args.cache_dir)
         agent = WorkerAgent(
             args.coordinator,
             name=args.name,
@@ -924,9 +928,7 @@ def _cmd_cluster(args) -> int:
             )
         else:
             http_host, http_port = host, DEFAULT_HTTP_PORT
-        store = (
-            ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
-        )
+        store = _open_store(args.cache_dir)
         service = ExperimentService(
             store=store,
             host=host,
@@ -965,7 +967,7 @@ def _cmd_cluster(args) -> int:
         from repro.cluster.http_api import ServiceClient
         from repro.pipeline.runner import RunRecord
 
-        base = _base_config(args).with_overrides(engine=args.engine)
+        base = _base_config(args)
         grid = _grid_from_args(args, base)
         client = ServiceClient(args.service, token=args.token)
         submitted = client.submit(base, grid, name=args.name)
@@ -1043,11 +1045,9 @@ def _cmd_cluster(args) -> int:
             local_worker_processes,
         )
 
-        base = _base_config(args).with_overrides(engine=args.engine)
+        base = _base_config(args)
         grid = _grid_from_args(args, base)
-        store = (
-            ArtifactStore(args.cache_dir) if args.cache_dir else ArtifactStore()
-        )
+        store = _open_store(args.cache_dir)
         executor = ClusterExecutor(
             base,
             store=store,

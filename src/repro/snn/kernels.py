@@ -9,8 +9,8 @@ temporary arrays per step; this module provides the same arithmetic as
 
 - a **numpy** kernel: the exact ufunc sequence of
   ``DiehlCookNetwork._step_from_drive`` + ``AdaptiveLIFLayer.step`` +
-  the trace decay/bump of ``STDPRule.step_accumulate``, written into a
-  preallocated :class:`FusedWorkspace` (the training analogue of the
+  the STDP trace decay/bump, written into a preallocated
+  :class:`FusedWorkspace` (the training analogue of the
   allocation-free inference loop ``_run_batch_frozen``);
 - an optional **numba** kernel: one jitted elementwise pass over the
   same state arrays, compiled lazily per dtype.
@@ -20,10 +20,10 @@ The numpy step is split in two halves (:func:`numpy_membrane_step`,
 ``batch_size=1`` loop (``DiehlCookNetwork._run_sample_fused``) runs the
 same arithmetic on one-lane views, with exact shortcuts for quiet steps.
 
-Both kernels are **bit-identical** to the reference step (and therefore
-to each other).  For numpy that holds because every ufunc call below
-has the same operands, operand order and output dtype as the reference
-expression form.  For numba it holds by construction: the kernel is
+Both kernels are **bit-identical** to the unfused reference step kept
+in ``tests/oracles.py`` (and therefore to each other).  For numpy that
+holds because every ufunc call below has the same operands, operand
+order and output dtype as the reference expression form.  For numba it holds by construction: the kernel is
 written scalar-by-scalar with every intermediate rounded at exactly the
 points the numpy ufunc sequence rounds — constants are pre-cast to the
 compute dtype, and the one mixed-precision chain (lateral inhibition,
@@ -34,9 +34,10 @@ deliberately stays in shared numpy code
 (:meth:`repro.snn.stdp.STDPRule.accumulate_step`) so both backends
 reduce in the same order there too.
 
-Backend selection happens at import: ``numba`` is used when importable,
-pure numpy otherwise — nothing is ever installed, and every caller can
-force a backend explicitly (tests assert cross-backend identity).
+The backend is the platform's, not the caller's: ``numba`` when it
+imports (:data:`HAVE_NUMBA`), pure numpy otherwise — nothing is ever
+installed.  Tests flip :data:`HAVE_NUMBA` to assert cross-backend
+identity.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.telemetry import get_metrics
-
 try:  # optional accelerator; the numpy kernel is always available.
     import numba as _numba
 except ImportError:  # pragma: no cover - exercised on numba-less hosts
@@ -55,42 +54,6 @@ except ImportError:  # pragma: no cover - exercised on numba-less hosts
 
 #: Whether the optional numba backend can be used in this process.
 HAVE_NUMBA = _numba is not None
-
-#: Valid values of the training ``kernel`` switch.  ``"auto"`` resolves
-#: to ``"numba"`` when available, else ``"numpy"``; ``"reference"`` is
-#: the unfused `_step_from_drive` + `step_accumulate` loop kept for
-#: cross-checking.
-KERNEL_CHOICES = ("auto", "numba", "numpy", "reference")
-
-
-def default_kernel() -> str:
-    """The backend ``kernel="auto"`` resolves to in this process."""
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def resolve_kernel(kernel: str) -> str:
-    """Validate and resolve a ``kernel`` switch value.
-
-    Returns one of ``"numba"``, ``"numpy"`` or ``"reference"``.  Asking
-    for ``"numba"`` explicitly on a host without numba raises — silently
-    falling back would let a CI leg meant to exercise the jitted kernel
-    pass without running it.
-    """
-    if kernel not in KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; choose from {list(KERNEL_CHOICES)}"
-        )
-    if kernel == "auto":
-        resolved = default_kernel()
-    elif kernel == "numba" and not HAVE_NUMBA:
-        raise RuntimeError(
-            "kernel='numba' requested but numba is not installed; "
-            "use kernel='auto' to fall back to the numpy kernel"
-        )
-    else:
-        resolved = kernel
-    get_metrics().counter(f"kernels.resolved.{resolved}").inc()
-    return resolved
 
 
 class FusedWorkspace:
@@ -341,11 +304,11 @@ def numpy_state_step(
     """One fused training step (numpy backend), allocation-free.
 
     Performs exactly the ufunc sequence of ``_step_from_drive`` with
-    ``adapt=True`` plus the trace decay/bump of ``step_accumulate`` —
-    same operations, same operand order, written into ``ws``'s scratch
-    buffers.  ``ws.pre`` must already hold this step's presynaptic
-    spikes; ``spikes`` receives the postsynaptic result (the caller
-    swaps ``last``/``spikes`` afterwards, like the inference loop).
+    ``adapt=True`` plus the STDP trace decay/bump — same operations,
+    same operand order, written into ``ws``'s scratch buffers.
+    ``ws.pre`` must already hold this step's presynaptic spikes;
+    ``spikes`` receives the postsynaptic result (the caller swaps
+    ``last``/``spikes`` afterwards, like the inference loop).
     """
     numpy_membrane_step(c, ws, drive, g_e, g_i, v, refr, theta, last, spikes)
     numpy_fire_step(c, v, refr, theta, spikes)
@@ -460,7 +423,7 @@ def _build_numba_step(castf):
 
 def numba_state_step(dtype: np.dtype):
     """The compiled numba step kernel for ``dtype`` (lazily built)."""
-    if _numba is None:  # pragma: no cover - guarded by resolve_kernel
+    if _numba is None:  # pragma: no cover - guarded by HAVE_NUMBA
         raise RuntimeError("numba is not installed")
     dtype = np.dtype(dtype)
     fn = _NUMBA_STEPS.get(dtype)
@@ -475,12 +438,9 @@ __all__ = [
     "FusedConstants",
     "FusedWorkspace",
     "HAVE_NUMBA",
-    "KERNEL_CHOICES",
-    "default_kernel",
     "numba_state_step",
     "numpy_fire_step",
     "numpy_membrane_step",
     "numpy_state_step",
     "numpy_trace_step",
-    "resolve_kernel",
 ]

@@ -43,6 +43,7 @@ except ImportError:  # pragma: no cover - exercised via the forced fallback test
     _sparse = None
 
 from repro.rng import ensure_rng
+from repro.snn import kernels as _kernels
 from repro.snn.kernels import (
     FusedConstants,
     FusedWorkspace,
@@ -51,7 +52,6 @@ from repro.snn.kernels import (
     numpy_membrane_step,
     numpy_state_step,
     numpy_trace_step,
-    resolve_kernel,
 )
 from repro.snn.neurons import AdaptiveLIFLayer, LIFParameters
 from repro.snn.stdp import STDPParameters, STDPRule, normalize_columns
@@ -60,6 +60,7 @@ from repro.snn.synapses import (
     SynapticConductance,
     propagate_spikes,
 )
+from repro.telemetry import get_metrics
 
 #: Network sizes evaluated by the paper (Section V).
 PAPER_NETWORK_SIZES = (400, 900, 1600, 2500, 3600)
@@ -541,18 +542,18 @@ class DiehlCookNetwork:
     def run_batch(
         self,
         spike_trains: np.ndarray,
-        adapt: bool = False,
         base_weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Present a batch of encoded samples in one vectorized pass.
+        """Present a batch of encoded samples in one inference pass.
 
         ``spike_trains`` is boolean ``(B, n_steps, n_input)`` where ``B``
         must equal the trailing batch dim.  With ``batch_shape=(B,)``
         the single weight matrix is applied to every sample; with
         ``batch_shape=(E, B)`` the installed weight stack (or a single
         matrix, shared) is applied realization-wise, and every sample is
-        presented to all ``E`` realizations.  Returns per-neuron spike
-        counts of shape ``batch_shape + (n_neurons,)``.
+        presented to all ``E`` realizations.  Adaptive thresholds stay
+        frozen.  Returns per-neuron spike counts of shape
+        ``batch_shape + (n_neurons,)``.
 
         ``base_weights`` (stacked networks only) marks the installed
         stack as ``E`` realizations of one base tensor — the clean
@@ -625,12 +626,7 @@ class DiehlCookNetwork:
             drives *= gain
 
         self.reset_state(keep_theta=True)
-        if not adapt:
-            return self._run_batch_frozen(drives, n_steps)
-        counts = np.zeros(bs + (p.n_neurons,), dtype=np.int64)
-        for t in range(n_steps):
-            counts += self._step_from_drive(drives[t], adapt=adapt)
-        return counts
+        return self._run_batch_frozen(drives, n_steps)
 
     def prepare_drive_matrix(self, spike_trains: np.ndarray):
         """Prebuild the reusable sparse drive operator of a minibatch.
@@ -684,7 +680,6 @@ class DiehlCookNetwork:
         spike_trains: np.ndarray,
         stdp: STDPRule,
         delta: np.ndarray,
-        kernel: str = "auto",
         workspace: Optional[FusedWorkspace] = None,
         matrix=None,
     ) -> np.ndarray:
@@ -702,20 +697,18 @@ class DiehlCookNetwork:
         at the start (one presentation per lane).  Returns per-lane
         spike counts ``(B, n_neurons)``.
 
-        ``kernel`` selects the time-loop implementation (see
-        :data:`repro.snn.kernels.KERNEL_CHOICES`): ``"auto"`` resolves
-        to the jitted numba kernel when available, else the fused
-        allocation-free numpy kernel; ``"reference"`` runs the original
-        `_step_from_drive` + `step_accumulate` loop.  All three produce
-        bit-identical weights, thresholds and counts (asserted in
-        tests).  ``workspace`` optionally supplies the preallocated
+        The time loop runs the jitted numba kernel when numba imports
+        (:data:`repro.snn.kernels.HAVE_NUMBA`), else the fused
+        allocation-free numpy kernel; each call counts
+        ``kernels.resolved.<backend>`` once.  Both are bit-identical to
+        the unfused per-step loop kept in ``tests/oracles.py``.
+        ``workspace`` optionally supplies the preallocated
         :class:`~repro.snn.kernels.FusedWorkspace` scratch of the fused
         kernels (one is allocated per call otherwise); ``matrix`` the
         prebuilt :meth:`prepare_drive_matrix` operator.
         """
         p = self.parameters
         bs = self.batch_shape
-        resolved = resolve_kernel(kernel)
         if len(bs) != 1:
             raise ValueError(
                 f"run_batch_stdp requires batch_shape (B,), got {bs}"
@@ -743,14 +736,10 @@ class DiehlCookNetwork:
         stdp.reset_state()
         pre_steps = trains.transpose(1, 0, 2)  # (n_steps, B, n_input) view
         counts = np.zeros(bs + (p.n_neurons,), dtype=np.int64)
-        if resolved == "reference":
-            for t in range(trains.shape[1]):
-                spikes = self._step_from_drive(drives[t], adapt=True)
-                stdp.step_accumulate(pre_steps[t], spikes, delta, bound)
-                counts += spikes
-            return counts
+        backend = "numba" if _kernels.HAVE_NUMBA else "numpy"
+        get_metrics().counter(f"kernels.resolved.{backend}").inc()
         return self._run_batch_stdp_fused(
-            drives, pre_steps, stdp, delta, bound, counts, workspace, resolved
+            drives, pre_steps, stdp, delta, bound, counts, workspace, backend
         )
 
     def _run_batch_stdp_fused(
@@ -774,7 +763,8 @@ class DiehlCookNetwork:
         spiking-column accumulation
         (:meth:`~repro.snn.stdp.STDPRule.accumulate_step`) runs in
         shared numpy/BLAS code for both backends.  Bit-identity with
-        the reference loop is asserted in ``tests/test_engine_trainer``.
+        the per-step oracle loop is asserted in
+        ``tests/test_snn_kernels.py``.
         """
         p = self.parameters
         n_batch = self.batch_shape[0]

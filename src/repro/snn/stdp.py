@@ -26,11 +26,13 @@ Two update modes cover the two training engines:
 - :meth:`STDPRule.step` — the reference in-place rule: each post spike
   immediately moves (and clips) its incoming weights, so later steps of
   the same sample see the updated tensor;
-- :meth:`STDPRule.step_accumulate` — the minibatch rule: every update
+- :meth:`STDPRule.accumulate_step` — the minibatch rule: every update
   is computed against a *frozen* weight tensor (its precomputed
   :meth:`frozen_bound` factor) and summed — over timesteps and over
   batch lanes — into a delta tensor the caller applies, clips and
   normalizes once per minibatch (see :mod:`repro.engine.trainer`).
+  The fused training kernels advance the traces themselves
+  (:mod:`repro.snn.kernels`).
 """
 
 from __future__ import annotations
@@ -197,51 +199,6 @@ class STDPRule:
         # for the default linear bound.
         return diff if p.mu == 1.0 else diff**p.mu
 
-    def step_accumulate(
-        self,
-        pre_spikes: np.ndarray,
-        post_spikes: np.ndarray,
-        delta: np.ndarray,
-        bound: np.ndarray,
-    ) -> np.ndarray:
-        """Advance traces one step; *accumulate* the update into ``delta``.
-
-        Minibatch mode: the weight movement every post spike would apply
-        is computed against a frozen tensor — ``bound`` is its
-        :meth:`frozen_bound` — and summed over all batch lanes into the
-        single ``(n_pre, n_post)`` tensor ``delta`` (modified in place
-        and returned) instead of being applied to the weights.  Unlike
-        :meth:`step`, updates from concurrent lanes therefore neither
-        compound through the bound factor nor clip per step; the caller
-        applies + clips + normalizes the summed delta once per
-        minibatch.  The per-lane trace dynamics are identical to the
-        in-place rule.
-        """
-        p = self.parameters
-        pre = np.asarray(pre_spikes, dtype=bool)
-        if pre.shape != self.state_shape:
-            raise ValueError(
-                f"pre_spikes must have shape {self.state_shape}, got {pre.shape}"
-            )
-        n_post = delta.shape[-1]
-        if delta.shape != (self.n_pre, n_post):
-            raise ValueError(
-                f"delta must have shape ({self.n_pre}, n_post), got {delta.shape}"
-            )
-        if bound.shape != delta.shape:
-            raise ValueError(
-                f"bound must match delta's shape {delta.shape}, got {bound.shape}"
-            )
-        self.x_pre *= self._trace_decay
-        self.x_pre[pre] = 1.0
-        post = np.asarray(post_spikes, dtype=bool)
-        if post.shape != self.batch_shape + (n_post,):
-            raise ValueError(
-                f"post_spikes must have shape {self.batch_shape + (n_post,)}, "
-                f"got {post.shape}"
-            )
-        return self.accumulate_step(post, delta, bound, np.empty_like(self.x_pre))
-
     def accumulate_step(
         self,
         post_spikes: np.ndarray,
@@ -251,14 +208,20 @@ class STDPRule:
     ) -> np.ndarray:
         """The spiking-column accumulation of one (already-traced) step.
 
-        The second half of :meth:`step_accumulate`, split out so the
-        fused training loop (whose state kernel advances the trace
-        itself) and the reference path share one implementation — the
-        fused == reference bit-identity holds by construction here.
-        ``offset_out`` is scratch shaped like ``x_pre``; the fused loop
-        passes a preallocated workspace buffer, the reference path a
-        fresh array (same values either way).  No validation: callers
-        have checked shapes already.
+        Minibatch mode: the weight movement every post spike would apply
+        is computed against a frozen tensor — ``bound`` is its
+        :meth:`frozen_bound` — and summed over all batch lanes into the
+        single ``(n_pre, n_post)`` tensor ``delta`` (modified in place
+        and returned) instead of being applied to the weights.  Unlike
+        :meth:`step`, updates from concurrent lanes therefore neither
+        compound through the bound factor nor clip per step; the caller
+        applies + clips + normalizes the summed delta once per
+        minibatch.  The caller has already advanced the traces this
+        step (the fused state kernel does it; so does the unfused
+        oracle in ``tests/oracles.py``, which shares this method, so
+        fused == oracle holds by construction here).  ``offset_out`` is
+        scratch shaped like ``x_pre``.  No validation: callers have
+        checked shapes already.
         """
         p = self.parameters
         n_post = delta.shape[-1]

@@ -7,6 +7,21 @@ replaced: one :meth:`DiehlCookNetwork.step` and one in-place
 thresholds, membrane and conductance state, traces and spike counts
 bitwise equal to it.
 
+``reference_spike_counts`` is the per-sample evaluation loop that
+:meth:`repro.engine.BatchedEvaluator.spike_counts` replaced: one
+inference-mode :meth:`DiehlCookNetwork.run_sample` per realization and
+sample.  The batched evaluator must return the same counts;
+:func:`evaluation_oracle` routes every evaluation through it, so whole
+analyses and pipeline runs can be compared.
+
+``reference_run_batch_stdp`` is the unfused minibatch training loop of
+:meth:`DiehlCookNetwork.run_batch_stdp`: one ``_step_from_drive`` and
+one :func:`reference_step_accumulate` per timestep.  The fused numpy
+and numba kernels must leave the delta, thresholds, traces and counts
+bitwise equal to it.  :func:`minibatch_oracle` routes every
+``run_batch_stdp`` call through it, so whole training runs can be
+compared.
+
 ``ScalarRowBufferSimulator`` is the per-access open-page row-buffer
 simulator that :class:`repro.dram.row_buffer.RowBufferSimulator`
 replaced.  It walks a trace of :class:`DramCoordinate` objects one access
@@ -16,6 +31,7 @@ at a time; the array-native simulator must reproduce every field of its
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -25,6 +41,9 @@ from repro.dram.commands import AccessCondition, CommandKind
 from repro.dram.organization import DramCoordinate, DramOrganization
 from repro.dram.row_buffer import TraceStatistics
 from repro.dram.timing import TimingParameters
+from repro.engine import BatchedEvaluator
+from repro.engine.encoding import encode_spike_trains
+from repro.snn.network import DiehlCookNetwork
 from repro.snn.stdp import normalize_columns
 
 BankKey = Tuple[int, int, int, int]
@@ -221,3 +240,98 @@ def reference_run_sample(
     if normalize and p.weight_norm > 0:
         normalize_columns(network.weights, p.weight_norm)
     return counts
+
+
+def reference_spike_counts(
+    evaluator, images, n_steps, rng, weights, encoder=None
+) -> np.ndarray:
+    """Oracle of ``evaluator.spike_counts(images, n_steps, rng, weights)``.
+
+    Encodes every image (the same random stream as the chunked
+    evaluator), then runs one inference-mode ``run_sample`` per
+    realization and sample on an unbatched network holding the
+    evaluator's parameters, thresholds and dtype.  ``weights`` is one
+    matrix (counts ``(B, n)``) or a stack (counts ``(E, B, n)``).
+    """
+    trains = encode_spike_trains(
+        np.asarray(images, dtype=np.float64), n_steps, rng, encoder=encoder
+    )
+    network = DiehlCookNetwork(
+        evaluator.parameters, init_weights=False, dtype=evaluator.dtype
+    )
+    network.neurons.theta = evaluator.theta.copy()
+    weights = np.asarray(weights, dtype=evaluator.dtype)
+    stack = weights if weights.ndim == 3 else weights[None]
+    counts = np.empty(
+        (len(stack), len(trains), evaluator.parameters.n_neurons), dtype=np.int64
+    )
+    for e, realization in enumerate(stack):
+        network.set_weights(realization)
+        for b, train in enumerate(trains):
+            counts[e, b] = network.run_sample(train, stdp=None)
+    return counts if weights.ndim == 3 else counts[0]
+
+
+@contextlib.contextmanager
+def evaluation_oracle():
+    """Run every ``BatchedEvaluator.spike_counts`` call on the oracle loop."""
+    batched = BatchedEvaluator.spike_counts
+
+    def oracle(self, images, n_steps, rng, weights, encoder=None, base_weights=None):
+        return reference_spike_counts(self, images, n_steps, rng, weights, encoder)
+
+    BatchedEvaluator.spike_counts = oracle
+    try:
+        yield
+    finally:
+        BatchedEvaluator.spike_counts = batched
+
+
+def reference_step_accumulate(
+    stdp, pre_spikes, post_spikes, delta, bound
+) -> np.ndarray:
+    """One unfused minibatch STDP step: advance the traces, then accumulate.
+
+    The traces decay and jump to one where ``pre_spikes`` fired, as the
+    expression form; the spiking-column accumulation is the shared
+    :meth:`STDPRule.accumulate_step`, with a fresh offset buffer.
+    """
+    stdp.x_pre *= stdp._trace_decay
+    stdp.x_pre[np.asarray(pre_spikes, dtype=bool)] = 1.0
+    post = np.asarray(post_spikes, dtype=bool)
+    return stdp.accumulate_step(post, delta, bound, np.empty_like(stdp.x_pre))
+
+
+def reference_run_batch_stdp(
+    network, spike_trains, stdp, delta, workspace=None, matrix=None
+) -> np.ndarray:
+    """Oracle of ``network.run_batch_stdp(spike_trains, stdp, delta)``.
+
+    The per-step loop against the frozen installed weights: the gain-
+    scaled drive slab, then one ``_step_from_drive(adapt=True)`` and one
+    :func:`reference_step_accumulate` per timestep.  Takes the method's
+    arguments (``workspace`` is unused) so :func:`minibatch_oracle` can
+    install it in the method's place.
+    """
+    trains = np.asarray(spike_trains, dtype=bool)
+    drives = network._sample_drives(trains, network.weights, matrix=matrix)
+    bound = stdp.frozen_bound(network.weights)
+    network.reset_state(keep_theta=True)
+    stdp.reset_state()
+    counts = np.zeros(network.batch_shape + (network.n_neurons,), dtype=np.int64)
+    for t in range(trains.shape[1]):
+        spikes = network._step_from_drive(drives[t], adapt=True)
+        reference_step_accumulate(stdp, trains[:, t], spikes, delta, bound)
+        counts += spikes
+    return counts
+
+
+@contextlib.contextmanager
+def minibatch_oracle():
+    """Run every ``DiehlCookNetwork.run_batch_stdp`` call on the oracle loop."""
+    fused = DiehlCookNetwork.run_batch_stdp
+    DiehlCookNetwork.run_batch_stdp = reference_run_batch_stdp
+    try:
+        yield
+    finally:
+        DiehlCookNetwork.run_batch_stdp = fused

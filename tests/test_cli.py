@@ -219,6 +219,21 @@ class TestSweepCommand:
         assert records[1].cache_hits >= 3
 
 
+class TestUnusableCacheDir:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_one_line_error_exit_2(self, capsys, tmp_path, command, under_file):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        cache_dir = blocker / "x" if under_file else blocker
+        exit_code = main([command, "--cache-dir", str(cache_dir)])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert err.startswith("error: --cache-dir")
+        assert str(cache_dir) in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestCacheCommand:
     def _fill(self, cache_dir):
         from repro.pipeline import ArtifactStore
@@ -296,13 +311,11 @@ class TestCacheCommand:
 
 
 class TestEngineFlags:
-    def test_run_parser_accepts_engine(self):
-        args = build_parser().parse_args(["run", "--engine", "sequential"])
-        assert args.engine == "sequential"
-
     def test_run_parser_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--engine", "warp"])
+        # The evaluation path is fixed: there is no --engine flag at all.
+        for value in ("warp", "batched"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "--engine", value])
 
     def test_sweep_parser_accepts_error_models(self):
         args = build_parser().parse_args(

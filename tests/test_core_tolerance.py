@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import evaluation_oracle
 from repro.core.tolerance_analysis import (
     ToleranceReport,
     TolerancePoint,
@@ -123,13 +124,14 @@ class TestReport:
 
 class TestEngineEquivalence:
     def test_batched_and_sequential_reports_identical(self, trained):
+        """The batched analysis equals one run on the per-sample oracle."""
         dataset, model = trained
-        reports = {}
-        for engine in ("batched", "sequential"):
+
+        def analyze():
             injector = ErrorInjector(
                 Float32Representation(clip_range=(0, 1)), seed=1
             )
-            reports[engine] = analyze_error_tolerance(
+            return analyze_error_tolerance(
                 model,
                 dataset,
                 injector,
@@ -139,18 +141,12 @@ class TestEngineEquivalence:
                 n_steps=50,
                 trials=2,
                 rng=np.random.default_rng(0),
-                engine=engine,
             )
+
+        reports = {"batched": analyze()}
+        with evaluation_oracle():
+            reports["sequential"] = analyze()
         assert reports["batched"].curve == reports["sequential"].curve
         assert (
             reports["batched"].ber_threshold == reports["sequential"].ber_threshold
         )
-
-    def test_unknown_engine_rejected(self, trained):
-        dataset, model = trained
-        injector = ErrorInjector(Float32Representation(), seed=1)
-        with pytest.raises(ValueError):
-            analyze_error_tolerance(
-                model, dataset, injector, rates=(1e-5,),
-                baseline_accuracy=0.8, engine="quantum",
-            )

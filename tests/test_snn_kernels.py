@@ -1,26 +1,23 @@
 """Tests of the fused minibatch STDP kernel (repro.snn.kernels).
 
-The load-bearing property: every kernel backend — the unfused
-``"reference"`` loop, the fused ``"numpy"`` kernel, and (when numba is
-installed) the jitted ``"numba"`` kernel — produces **bit-identical**
-results: same accumulated delta, same adaptive thresholds, same spike
-counts, same presynaptic traces, same trained weights.  The fused path
-is a pure reordering into preallocated workspace buffers, not an
-approximation, so these are ``array_equal`` assertions, not
-``allclose``.
+The load-bearing property: every fused backend — the ``"numpy"``
+kernel and (when numba is installed) the jitted ``"numba"`` kernel —
+produces results **bit-identical** to the unfused per-step loop
+``reference_run_batch_stdp`` in ``tests/oracles.py``: same accumulated
+delta, same adaptive thresholds, same spike counts, same presynaptic
+traces, same trained weights.  The fused path is a pure reordering into
+preallocated workspace buffers, not an approximation, so these are
+``array_equal`` assertions, not ``allclose``.  The backend follows
+:data:`repro.snn.kernels.HAVE_NUMBA`, which the tests flip.
 """
 
 import numpy as np
 import pytest
 
+from oracles import minibatch_oracle, reference_run_batch_stdp
 from repro.engine.trainer import BatchedTrainer, StageEncodingCache
-from repro.snn.kernels import (
-    FusedWorkspace,
-    HAVE_NUMBA,
-    KERNEL_CHOICES,
-    default_kernel,
-    resolve_kernel,
-)
+from repro.snn import kernels
+from repro.snn.kernels import FusedWorkspace, HAVE_NUMBA
 from repro.snn.network import DiehlCookNetwork, NetworkParameters, make_stdp
 
 PARAMS = NetworkParameters(n_input=64, n_neurons=16)
@@ -28,6 +25,13 @@ PARAMS = NetworkParameters(n_input=64, n_neurons=16)
 #: Fused backends available in this environment (the numba leg of CI
 #: adds "numba"; the default numpy-only leg tests the fallback).
 BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request, monkeypatch):
+    """Run the test body on one fused backend."""
+    monkeypatch.setattr(kernels, "HAVE_NUMBA", request.param == "numba")
+    return request.param
 
 
 def _network(dtype=np.float64, seed=1):
@@ -63,12 +67,13 @@ def _batched_setup(dtype, n_batch=5, n_steps=30, seed=2):
     return shell, trains
 
 
-def _run_kernel(shell, trains, kernel, dtype):
-    """One run_batch_stdp pass; returns every observable output."""
+def _run_kernel(shell, trains, dtype, oracle=False):
+    """One run_batch_stdp pass (or its oracle); returns every output."""
     stdp = make_stdp(shell, batch_shape=shell.batch_shape)
     delta = np.zeros((PARAMS.n_input, PARAMS.n_neurons), dtype=dtype)
     theta0 = shell.neurons.theta.copy()
-    counts = shell.run_batch_stdp(trains, stdp, delta, kernel=kernel)
+    run = reference_run_batch_stdp if oracle else DiehlCookNetwork.run_batch_stdp
+    counts = run(shell, trains, stdp, delta)
     outputs = {
         "delta": delta,
         "counts": counts,
@@ -81,24 +86,38 @@ def _run_kernel(shell, trains, kernel, dtype):
     return outputs
 
 
-class TestKernelResolution:
-    def test_choices_and_default(self):
-        assert set(KERNEL_CHOICES) == {"auto", "numba", "numpy", "reference"}
-        assert default_kernel() == ("numba" if HAVE_NUMBA else "numpy")
-        assert resolve_kernel("auto") == default_kernel()
-        assert resolve_kernel("numpy") == "numpy"
-        assert resolve_kernel("reference") == "reference"
+class TestBackendTelemetry:
+    """``kernels.resolved.<backend>`` counts minibatch passes, where the
+    backend actually runs."""
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_kernel("fortran")
-        with pytest.raises(ValueError):
-            BatchedTrainer(_network(), kernel="fortran")
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        import repro.telemetry.metrics as metrics_module
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed here")
-    def test_explicit_numba_without_numba_raises(self):
-        with pytest.raises(RuntimeError):
-            resolve_kernel("numba")
+        registry = metrics_module.MetricsRegistry()
+        monkeypatch.setattr(metrics_module, "_REGISTRY", registry)
+
+        def counters():
+            return {
+                name: value
+                for name, value in registry.to_dict()["counters"].items()
+                if name.startswith("kernels.resolved.")
+            }
+
+        return counters
+
+    def test_batch_size_one_counts_no_backend(self, resolved):
+        BatchedTrainer(_network(), batch_size=1).train(
+            _workload(n_samples=5), n_steps=10, rng=np.random.default_rng(7)
+        )
+        assert resolved() == {}
+
+    def test_minibatch_counts_one_per_minibatch(self, resolved, backend):
+        # 5 samples in minibatches of 2: three run_batch_stdp calls.
+        BatchedTrainer(_network(), batch_size=2).train(
+            _workload(n_samples=5), n_steps=10, rng=np.random.default_rng(7)
+        )
+        assert resolved() == {f"kernels.resolved.{backend}": 3}
 
 
 class TestFusedWorkspace:
@@ -110,19 +129,17 @@ class TestFusedWorkspace:
 
 
 class TestFusedBitIdentity:
-    """Fused backends == the unfused reference loop, bit for bit."""
+    """Fused backends == the unfused oracle loop, bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_run_batch_stdp_matches_reference(self, dtype, backend):
         shell, trains = _batched_setup(dtype)
-        ref = _run_kernel(shell, trains, "reference", dtype)
-        got = _run_kernel(shell, trains, backend, dtype)
+        ref = _run_kernel(shell, trains, dtype, oracle=True)
+        got = _run_kernel(shell, trains, dtype)
         for key in ref:
             assert np.array_equal(ref[key], got[key]), (backend, key)
         assert got["counts"].sum() > 0  # the comparison is not vacuous
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_workspace_reuse_does_not_change_results(self, backend):
         """Passing a dirty, reused workspace is bit-identical to none."""
         shell, trains = _batched_setup(np.float64)
@@ -130,31 +147,33 @@ class TestFusedBitIdentity:
         ws = FusedWorkspace(5, PARAMS.n_neurons, PARAMS.n_input, np.float64)
         theta0 = shell.neurons.theta.copy()
         delta_ws = np.zeros((PARAMS.n_input, PARAMS.n_neurons))
-        shell.run_batch_stdp(trains, stdp, delta_ws, kernel=backend, workspace=ws)
+        shell.run_batch_stdp(trains, stdp, delta_ws, workspace=ws)
         shell.reset_state()
         stdp.reset_state()
         shell.neurons.theta = theta0.copy()
         delta_again = np.zeros((PARAMS.n_input, PARAMS.n_neurons))
-        shell.run_batch_stdp(
-            trains, stdp, delta_again, kernel=backend, workspace=ws
-        )
+        shell.run_batch_stdp(trains, stdp, delta_again, workspace=ws)
         assert np.array_equal(delta_ws, delta_again)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("corrupt", [False, True])
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_trained_weights_match_across_kernels(self, dtype, corrupt, backend):
-        """Full minibatch training is kernel-invariant end to end."""
+        """Full minibatch training equals the oracle loop end to end."""
         images = _workload()
         nets, rngs = {}, {}
-        for kernel in ("reference", backend):
+
+        def train(kernel):
             net = _network(dtype)
             rng = np.random.default_rng(7)
             hook = _gaussian_corrupter(5) if corrupt else None
-            BatchedTrainer(
-                net, batch_size=5, corrupt_weights=hook, kernel=kernel
-            ).train(images, n_steps=30, epochs=2, rng=rng)
+            BatchedTrainer(net, batch_size=5, corrupt_weights=hook).train(
+                images, n_steps=30, epochs=2, rng=rng
+            )
             nets[kernel], rngs[kernel] = net, rng
+
+        with minibatch_oracle():
+            train("reference")
+        train(backend)
         assert np.array_equal(
             nets["reference"].weights, nets[backend].weights
         )
@@ -168,18 +187,19 @@ class TestFusedBitIdentity:
 
     def test_batch_size_one_never_enters_minibatch_kernel(self, monkeypatch):
         """B=1 is in-place sequential STDP (``present_sample``): the
-        frozen-weight minibatch kernel is never called, whatever
-        ``kernel`` says."""
+        frozen-weight minibatch kernel is never called, whatever the
+        platform's backend."""
         calls = []
         real = DiehlCookNetwork.run_batch_stdp
 
         def spy(self, *args, **kwargs):
-            calls.append(kwargs.get("kernel"))
+            calls.append(kernels.HAVE_NUMBA)
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(DiehlCookNetwork, "run_batch_stdp", spy)
-        for kernel in ["reference"] + BACKENDS:
-            BatchedTrainer(_network(), batch_size=1, kernel=kernel).train(
+        for backend in BACKENDS:
+            monkeypatch.setattr(kernels, "HAVE_NUMBA", backend == "numba")
+            BatchedTrainer(_network(), batch_size=1).train(
                 _workload(n_samples=3), n_steps=10, rng=np.random.default_rng(7)
             )
         assert calls == []
@@ -190,13 +210,12 @@ class TestFusedBitIdentity:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_one_lane_run_batch_stdp_matches_reference(self, dtype, backend):
         """A one-sample presentation through the kernel itself: the
-        fused backend equals the unfused reference bit for bit."""
+        fused backend equals the unfused oracle bit for bit."""
         shell, trains = _batched_setup(dtype, n_batch=1)
-        ref = _run_kernel(shell, trains, "reference", dtype)
-        got = _run_kernel(shell, trains, backend, dtype)
+        ref = _run_kernel(shell, trains, dtype, oracle=True)
+        got = _run_kernel(shell, trains, dtype)
         for key in ref:
             assert np.array_equal(ref[key], got[key]), (backend, key)
         assert got["counts"].sum() > 0  # the comparison is not vacuous
@@ -377,7 +396,7 @@ class TestBaseWeightsDriveSharing:
                 PARAMS, batch_shape=(3, 4), init_weights=False, dtype=dtype
             )
             net.set_weights(stack)
-            return net.run_batch(trains, adapt=False, base_weights=base_weights)
+            return net.run_batch(trains, base_weights=base_weights)
 
         assert np.array_equal(counts(None), counts(base))
 
