@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.datasets.base import Dataset
 from repro.errors.injection import ErrorInjector
-from repro.rng import ensure_rng
+from repro.rng import ensure_rng, skip_uniform_draws
 from repro.snn.network import DiehlCookNetwork, NetworkParameters
 from repro.snn.stdp import STDPParameters
 from repro.snn.training import (
@@ -38,8 +38,34 @@ from repro.snn.training import (
     assign_labels,
     evaluate_accuracy,
     run_spike_counts,
-    train_unsupervised,
+    train_network,
 )
+
+
+def _train_stage(
+    network: DiehlCookNetwork,
+    dataset: Dataset,
+    n_steps: int,
+    rng: np.random.Generator,
+    **training,
+) -> TrainedModel:
+    """Train one stage, leaving ``rng`` where ``train_unsupervised`` would.
+
+    :func:`~repro.snn.training.train_network` does the training
+    (``training`` holds its remaining arguments).  The stage labels and
+    scores the model itself, so the two train-set passes that
+    :func:`~repro.snn.training.train_unsupervised` runs next are not
+    run.  Their Poisson encoders would have drawn one float64 uniform
+    per pixel, time step and image, twice; skipping exactly those draws
+    keeps every later draw — later stages, recorded RNG states,
+    fingerprints — unchanged.
+    """
+    model = train_network(
+        network, dataset.train_images, n_steps=n_steps, rng=rng, **training
+    )
+    n_images, n_input = dataset.train_images.shape
+    skip_uniform_draws(rng, 2 * n_images * n_steps * n_input)
+    return model
 
 
 def default_ber_schedule(
@@ -126,6 +152,15 @@ def improve_error_tolerance(
         stage then trains on the *same* encoded stream, and the
         replayed stages skip their permutation/encoding draws, so this
         is a result-changing, fingerprinted knob.
+
+    Each stage runs two evaluation passes after training, both under a
+    fresh injection at the stage's BER: one over the train split
+    assigns the labels, one over the test split gives the stage
+    accuracy.  The train-set passes of
+    :func:`~repro.snn.training.train_unsupervised` are skipped and
+    their draws skipped with them (see :func:`_train_stage`), so every
+    stage's model and the stream that reaches the next stage are those
+    of the full call sequence.
     """
     from repro.engine.trainer import STAGE_ENCODINGS, StageEncodingCache
 
@@ -167,16 +202,14 @@ def improve_error_tolerance(
             corrupted, _report = injector.inject_uniform(weights, _rate, rng=rng)
             return corrupted
 
-        model = train_unsupervised(
+        model = _train_stage(
             network,
-            dataset.train_images,
-            dataset.train_labels,
-            n_steps=n_steps,
+            dataset,
+            n_steps,
+            rng,
             epochs=epochs_per_rate,
             stdp_parameters=stdp_parameters,
-            rng=rng,
             corrupt_weights=corrupt,
-            n_classes=n_classes,
             batch_size=batch_size,
             encoding_cache=encoding_cache,
         )
@@ -242,24 +275,29 @@ def train_baseline(
 
     ``batch_size``/``dtype`` select the minibatch size and compute
     precision of the STDP engine (see :func:`improve_error_tolerance`).
+
+    After training, two evaluation passes run: one over the train split
+    assigns the labels, one over the test split gives ``accuracy``.
+    The train-set passes of
+    :func:`~repro.snn.training.train_unsupervised` are skipped and their
+    draws skipped with them (see :func:`_train_stage`), so the returned
+    model and the state of ``rng`` are those of the full call sequence.
     """
     rng = ensure_rng(rng)
     params = network_parameters or NetworkParameters(
         n_input=dataset.train_images.shape[1], n_neurons=n_neurons
     )
     network = DiehlCookNetwork(params, rng=rng, dtype=dtype)
-    model = train_unsupervised(
+    model = _train_stage(
         network,
-        dataset.train_images,
-        dataset.train_labels,
-        n_steps=n_steps,
+        dataset,
+        n_steps,
+        rng,
         epochs=epochs,
         stdp_parameters=stdp_parameters,
-        rng=rng,
-        n_classes=n_classes,
         batch_size=batch_size,
     )
-    # Report accuracy on the held-out test split.
+    # Label on the train split, report accuracy on the held-out test split.
     counts = run_spike_counts(network, dataset.train_images, n_steps, rng)
     model.assignments = assign_labels(counts, dataset.train_labels, n_classes)
     model.accuracy = evaluate_accuracy(

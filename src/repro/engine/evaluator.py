@@ -210,9 +210,9 @@ class BatchedEvaluator:
         precompute across a realization stack (see
         :meth:`spike_counts`).
         """
-        from repro.snn.training import predict
+        from repro.snn.training import check_labels, predict
 
-        labels = np.asarray(labels)
+        labels = check_labels(labels, len(images))
         counts = self.spike_counts(
             images, n_steps, rng, weights, encoder=encoder,
             base_weights=base_weights,

@@ -20,6 +20,7 @@ from repro.snn.stdp import STDPParameters, STDPRule
 from repro.snn.network import NetworkParameters, DiehlCookNetwork
 from repro.snn.training import (
     TrainedModel,
+    train_network,
     train_unsupervised,
     assign_labels,
     evaluate_accuracy,
@@ -54,6 +55,7 @@ __all__ = [
     "NetworkParameters",
     "DiehlCookNetwork",
     "TrainedModel",
+    "train_network",
     "train_unsupervised",
     "assign_labels",
     "evaluate_accuracy",

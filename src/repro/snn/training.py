@@ -86,6 +86,18 @@ def run_spike_counts(
     )
 
 
+def check_labels(labels, n_samples: int) -> np.ndarray:
+    """``labels`` as an array, after checking there is one per sample."""
+    labels = np.asarray(labels)
+    if labels.shape != (n_samples,):
+        got = (
+            f"{labels.size} labels" if labels.ndim == 1
+            else f"labels of shape {labels.shape}"
+        )
+        raise ValueError(f"one label per image: got {got} for {n_samples} images")
+    return labels
+
+
 def assign_labels(
     spike_counts: np.ndarray, labels: np.ndarray, n_classes: int = 10
 ) -> np.ndarray:
@@ -93,9 +105,7 @@ def assign_labels(
 
     Neurons that never fire get assignment ``-1`` and never vote.
     """
-    labels = np.asarray(labels)
-    if spike_counts.shape[0] != labels.shape[0]:
-        raise ValueError("one label per response row required")
+    labels = check_labels(labels, spike_counts.shape[0])
     n_neurons = spike_counts.shape[1]
     mean_rates = np.zeros((n_classes, n_neurons))
     for cls in range(n_classes):
@@ -136,9 +146,10 @@ def evaluate_accuracy(
     n_classes: int = 10,
 ) -> float:
     """Classification accuracy of ``network`` on a labelled set."""
+    labels = check_labels(labels, len(images))
     counts = run_spike_counts(network, images, n_steps, rng, encoder)
     predictions = predict(counts, assignments, n_classes)
-    return float((predictions == np.asarray(labels)).mean())
+    return float((predictions == labels).mean())
 
 
 def apply_post_sample_update(
@@ -163,6 +174,57 @@ def apply_post_sample_update(
         normalize_columns(network.weights, network.parameters.weight_norm)
 
 
+def train_network(
+    network: DiehlCookNetwork,
+    images: np.ndarray,
+    n_steps: int = 100,
+    epochs: int = 1,
+    stdp_parameters: Optional[STDPParameters] = None,
+    rng: Optional[np.random.Generator] = None,
+    encoder: Encoder = _default_encoder,
+    corrupt_weights: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    batch_size: int = 1,
+    encoding_cache=None,
+) -> TrainedModel:
+    """Train ``network`` with STDP and package its weights and thresholds.
+
+    The training half of :func:`train_unsupervised` (see there for the
+    arguments): no label is assigned and nothing is scored, so the
+    returned model has every neuron unassigned (``-1``) and
+    ``accuracy`` 0.  Callers that label and score the model themselves
+    start from here.
+    """
+    from repro.engine.trainer import BatchedTrainer
+
+    rng = ensure_rng(rng)
+    trainer = BatchedTrainer(
+        network,
+        stdp_parameters=stdp_parameters,
+        batch_size=batch_size,
+        encoder=None if encoder is _default_encoder else encoder,
+        corrupt_weights=corrupt_weights,
+    )
+    trainer.train(
+        np.asarray(images),
+        n_steps=n_steps,
+        epochs=epochs,
+        rng=rng,
+        encoding_cache=encoding_cache,
+    )
+    return TrainedModel(
+        weights=network.weights.copy(),
+        theta=network.neurons.theta.copy(),
+        assignments=np.full(network.n_neurons, -1, dtype=np.int64),
+        n_input=network.n_input,
+        n_neurons=network.n_neurons,
+        metadata={
+            "epochs": epochs,
+            "n_steps": n_steps,
+            "train_batch_size": int(batch_size),
+        },
+    )
+
+
 def train_unsupervised(
     network: DiehlCookNetwork,
     images: np.ndarray,
@@ -177,7 +239,7 @@ def train_unsupervised(
     batch_size: int = 1,
     encoding_cache=None,
 ) -> TrainedModel:
-    """Train ``network`` with STDP and return the packaged model.
+    """Train ``network`` with STDP, then label and score it on the train set.
 
     ``corrupt_weights``, when given, is applied to the weight tensor
     before every presentation — this is the hook SparkXD's fault-aware
@@ -187,7 +249,8 @@ def train_unsupervised(
     exactly as a DRAM-backed accelerator would behave (errors corrupt
     reads; the training update writes back).
 
-    The loop is executed by :class:`repro.engine.trainer.BatchedTrainer`:
+    The loop is executed by :class:`repro.engine.trainer.BatchedTrainer`
+    (through :func:`train_network`):
     ``batch_size=1`` (default) presents one sample at a time and is
     bit-identical to the historical sequential loop at the same RNG
     state; ``batch_size>1`` presents minibatches in vectorized passes —
@@ -196,45 +259,31 @@ def train_unsupervised(
     ``encoding_cache`` records/replays the encoded sample stream across
     repeated calls (see
     :class:`repro.engine.trainer.StageEncodingCache`).
-    """
-    from repro.engine.trainer import BatchedTrainer
 
+    After training, two evaluation passes over ``images`` run on fresh
+    Poisson draws from ``rng``: the first assigns each neuron its class
+    (``assignments``), the second scores the train set with those
+    assignments (``accuracy``).  Both are train-set values; held-out
+    accuracy is the caller's to measure.
+    """
     rng = ensure_rng(rng)
     images = np.asarray(images)
-    labels = np.asarray(labels)
-    if len(images) != len(labels):
-        raise ValueError("images and labels must align")
-
-    trainer = BatchedTrainer(
+    labels = check_labels(labels, len(images))
+    model = train_network(
         network,
-        stdp_parameters=stdp_parameters,
-        batch_size=batch_size,
-        encoder=None if encoder is _default_encoder else encoder,
-        corrupt_weights=corrupt_weights,
-    )
-    trainer.train(
         images,
         n_steps=n_steps,
         epochs=epochs,
+        stdp_parameters=stdp_parameters,
         rng=rng,
+        encoder=encoder,
+        corrupt_weights=corrupt_weights,
+        batch_size=batch_size,
         encoding_cache=encoding_cache,
     )
-
     counts = run_spike_counts(network, images, n_steps, rng, encoder)
-    assignments = assign_labels(counts, labels, n_classes)
-    accuracy = evaluate_accuracy(
-        network, images, labels, assignments, n_steps, rng, encoder, n_classes
+    model.assignments = assign_labels(counts, labels, n_classes)
+    model.accuracy = evaluate_accuracy(
+        network, images, labels, model.assignments, n_steps, rng, encoder, n_classes
     )
-    return TrainedModel(
-        weights=network.weights.copy(),
-        theta=network.neurons.theta.copy(),
-        assignments=assignments,
-        n_input=network.n_input,
-        n_neurons=network.n_neurons,
-        accuracy=accuracy,
-        metadata={
-            "epochs": epochs,
-            "n_steps": n_steps,
-            "train_batch_size": int(batch_size),
-        },
-    )
+    return model

@@ -22,6 +22,14 @@ bitwise equal to it.  :func:`minibatch_oracle` routes every
 ``run_batch_stdp`` call through it, so whole training runs can be
 compared.
 
+``reference_train_stage`` is the call sequence a training stage of
+:mod:`repro.core.fault_aware_training` made before it skipped the two
+train-set evaluation passes of :func:`train_unsupervised`: the full
+``train_unsupervised`` call, both passes run.
+:func:`stage_training_oracle` routes every stage through it, so
+``train_baseline`` and ``improve_error_tolerance`` can be compared with
+the skip-ahead versions.
+
 ``ScalarRowBufferSimulator`` is the per-access open-page row-buffer
 simulator that :class:`repro.dram.row_buffer.RowBufferSimulator`
 replaced.  It walks a trace of :class:`DramCoordinate` objects one access
@@ -43,8 +51,10 @@ from repro.dram.row_buffer import TraceStatistics
 from repro.dram.timing import TimingParameters
 from repro.engine import BatchedEvaluator
 from repro.engine.encoding import encode_spike_trains
+from repro.core import fault_aware_training
 from repro.snn.network import DiehlCookNetwork
 from repro.snn.stdp import normalize_columns
+from repro.snn.training import train_unsupervised
 
 BankKey = Tuple[int, int, int, int]
 RowKey = Tuple[int, int, int, int, int, int]
@@ -335,3 +345,31 @@ def minibatch_oracle():
         yield
     finally:
         DiehlCookNetwork.run_batch_stdp = fused
+
+
+def reference_train_stage(network, dataset, n_steps, rng, **training):
+    """Oracle of ``fault_aware_training._train_stage``.
+
+    Trains through :func:`train_unsupervised`, whose label-assignment
+    and train-accuracy passes really run on ``rng``; the stage then
+    overwrites both results, as it always did.
+    """
+    return train_unsupervised(
+        network,
+        dataset.train_images,
+        dataset.train_labels,
+        n_steps=n_steps,
+        rng=rng,
+        **training,
+    )
+
+
+@contextlib.contextmanager
+def stage_training_oracle():
+    """Run every training stage with both train-set passes of ``train_unsupervised``."""
+    skipping = fault_aware_training._train_stage
+    fault_aware_training._train_stage = reference_train_stage
+    try:
+        yield
+    finally:
+        fault_aware_training._train_stage = skipping

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from oracles import stage_training_oracle
 from repro.core.fault_aware_training import (
     default_ber_schedule,
     improve_error_tolerance,
     train_baseline,
 )
+from repro.engine import BatchedEvaluator
 from repro.errors.injection import ErrorInjector
 from repro.snn.network import NetworkParameters
 from repro.snn.quantization import Float32Representation
@@ -135,3 +137,79 @@ class TestImproveErrorTolerance:
             improve_error_tolerance(baseline, dataset, injector, rates=())
         with pytest.raises(ValueError):
             improve_error_tolerance(baseline, dataset, injector, rates=(2.0,))
+
+
+def _run_stages(dataset, batch_size, dtype, stage_encoding):
+    """Baseline + two BER stages; every result and the final RNG state."""
+    rng = np.random.default_rng(21)
+    baseline = train_baseline(
+        dataset, n_neurons=10, n_steps=20, rng=rng, batch_size=batch_size,
+        dtype=dtype,
+    )
+    baseline_state = rng.bit_generator.state
+    result = improve_error_tolerance(
+        baseline,
+        dataset,
+        ErrorInjector(Float32Representation(clip_range=(0, 1)), seed=4),
+        rates=(1e-4, 1e-2),
+        n_steps=20,
+        rng=rng,
+        batch_size=batch_size,
+        dtype=dtype,
+        stage_encoding=stage_encoding,
+        accuracy_bound=0.05,
+    )
+    return baseline, baseline_state, result, rng.bit_generator.state
+
+
+class TestSkippedTrainPasses:
+    """Skipping train_unsupervised's two train-set passes changes nothing."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        from repro.datasets import load_dataset
+
+        return load_dataset("mnist", 16, 10, seed=3)
+
+    @pytest.mark.parametrize(
+        "batch_size, dtype, stage_encoding",
+        [
+            (1, np.float64, "fresh"),
+            (1, np.float32, "fresh"),
+            (2, np.float64, "fresh"),
+            (2, np.float32, "fresh"),
+            (2, np.float64, "shared"),
+        ],
+    )
+    def test_stages_identical_to_full_call_sequence(
+        self, dataset, monkeypatch, batch_size, dtype, stage_encoding
+    ):
+        calls = []
+        counted = BatchedEvaluator.spike_counts
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return counted(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedEvaluator, "spike_counts", counting)
+        run = (dataset, batch_size, dtype, stage_encoding)
+        skipped = _run_stages(*run)
+        n_skipping = len(calls)
+        with stage_training_oracle():
+            full = _run_stages(*run)
+        # Three stages of two passes each; the oracle adds two per stage.
+        assert n_skipping == 6
+        assert len(calls) - n_skipping == 12
+
+        (base, base_state, result, state) = skipped
+        (ref_base, ref_base_state, ref_result, ref_state) = full
+        for model, ref in ((base, ref_base), (result.model, ref_result.model)):
+            assert np.array_equal(model.weights, ref.weights)
+            assert np.array_equal(model.theta, ref.theta)
+            assert np.array_equal(model.assignments, ref.assignments)
+            assert model.accuracy == ref.accuracy
+            assert model.metadata == ref.metadata
+        assert base_state == ref_base_state
+        assert result.accuracy_per_rate == ref_result.accuracy_per_rate
+        assert result.selected_rate == ref_result.selected_rate
+        assert state == ref_state

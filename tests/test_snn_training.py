@@ -10,8 +10,11 @@ from repro.snn.training import (
     evaluate_accuracy,
     predict,
     run_spike_counts,
+    train_network,
     train_unsupervised,
 )
+from repro.engine import BatchedEvaluator
+from repro.rng import skip_uniform_draws
 
 
 class TestAssignLabels:
@@ -157,3 +160,81 @@ class TestTrainingLoop:
         net = DiehlCookNetwork(NetworkParameters(n_neurons=10), rng=rng)
         counts = run_spike_counts(net, mini_mnist.test_images[:5], 30, rng)
         assert counts.shape == (5, 10)
+
+
+class TestTrainNetwork:
+    def test_train_unsupervised_is_training_plus_two_train_passes(self, mini_mnist):
+        images = mini_mnist.train_images[:12]
+        full_rng = np.random.default_rng(3)
+        full = train_unsupervised(
+            DiehlCookNetwork(NetworkParameters(n_neurons=8), rng=full_rng),
+            images, mini_mnist.train_labels[:12], n_steps=20, rng=full_rng,
+        )
+        rng = np.random.default_rng(3)
+        trained = train_network(
+            DiehlCookNetwork(NetworkParameters(n_neurons=8), rng=rng),
+            images, n_steps=20, rng=rng,
+        )
+        skip_uniform_draws(rng, 2 * images.size * 20)
+        assert np.array_equal(trained.weights, full.weights)
+        assert np.array_equal(trained.theta, full.theta)
+        assert trained.metadata == full.metadata
+        assert rng.bit_generator.state == full_rng.bit_generator.state
+
+    def test_model_is_unlabelled(self, mini_mnist, rng):
+        model = train_network(
+            DiehlCookNetwork(NetworkParameters(n_neurons=6), rng=rng),
+            mini_mnist.train_images[:4], n_steps=10, rng=rng,
+        )
+        assert model.assignments.tolist() == [-1] * 6
+        assert model.accuracy == 0.0
+
+
+class TestLabelCount:
+    """One label per image, or a one-line ValueError before any draw."""
+
+    @pytest.fixture
+    def five(self, mini_mnist):
+        net = DiehlCookNetwork(
+            NetworkParameters(n_neurons=6), rng=np.random.default_rng(1)
+        )
+        return net, mini_mnist.test_images[:5], np.arange(6) % 10
+
+    @pytest.mark.parametrize("n_labels", [1, 4, 6])
+    def test_evaluate_accuracy_rejects_wrong_count(self, five, n_labels):
+        net, images, assignments = five
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        with pytest.raises(
+            ValueError,
+            match=f"one label per image: got {n_labels} labels for 5 images",
+        ):
+            evaluate_accuracy(
+                net, images, np.full(n_labels, 3), assignments, 10, rng
+            )
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("n_labels", [1, 4, 6])
+    def test_evaluator_accuracies_rejects_wrong_count(self, five, n_labels):
+        net, images, assignments = five
+        evaluator = BatchedEvaluator.for_network(net)
+        with pytest.raises(
+            ValueError,
+            match=f"one label per image: got {n_labels} labels for 5 images",
+        ):
+            evaluator.accuracies(
+                images, np.full(n_labels, 3), assignments, 10,
+                np.random.default_rng(2), weights=net.weights,
+            )
+
+    def test_column_of_labels_rejected(self, five):
+        net, images, assignments = five
+        with pytest.raises(ValueError, match=r"labels of shape \(5, 1\)"):
+            evaluate_accuracy(
+                net, images, np.zeros((5, 1), dtype=int), assignments, 10,
+                np.random.default_rng(2),
+            )
+
+    def test_assign_labels_rejects_wrong_count(self):
+        with pytest.raises(ValueError, match="got 2 labels for 3 images"):
+            assign_labels(np.zeros((3, 4)), np.array([0, 1]))
